@@ -1,4 +1,5 @@
-// Critical-path analyzer for causal trace exports (Chrome trace-event JSON).
+// `servescope trace`: critical-path analysis of causal trace exports
+// (Chrome trace-event JSON).
 //
 // Reads a trace written by the benchmark harness (--trace-out), rebuilds the
 // causal span trees from the trace_id/span_id/parent_span_id args, extracts
@@ -7,23 +8,21 @@
 //   1. a summary (events, traces, spans, orphans),
 //   2. per-run critical-path stage shares (where does the end-to-end time go
 //      when you only count the causally-binding chain),
-//   3. the top-k slowest traces with their blame chains, and
+//   3. the --top slowest traces with their blame chains, and
 //   4. a cross-check of the sampled critical-path stage shares against the
 //      RequestAuditor's full-population "audit.breakdown" record embedded in
 //      the same trace — the sampled causal view and the exhaustive
 //      accounting must agree within --tolerance.
 //
-// Exit codes: 0 all checks pass, 1 a check failed (orphaned spans, missing
-// causal data, or a share mismatch), 2 malformed input.
+// Exits 1 when a check fails: orphaned spans, missing causal data, or a
+// share mismatch.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <map>
-#include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -32,52 +31,25 @@
 #include "sim/time.h"
 #include "trace/critical_path.h"
 
-#include "json_mini.h"
+#include "reader.h"
 
+namespace scope {
 namespace {
 
 using serve::sim::Time;
 using serve::trace::CriticalPath;
 using serve::trace::SpanRecord;
 
-struct Options {
-  std::string path;
-  std::size_t top = 5;
-  double tolerance = 0.01;  ///< max |share delta| vs the auditor breakdown
-};
-
-[[noreturn]] void usage_and_exit() {
-  std::cerr << "usage: trace_analyze <trace.json> [--top <n>] [--tolerance <frac>]\n";
-  std::exit(2);
-}
-
-Options parse_options(int argc, char** argv) {
-  Options o;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--top" && i + 1 < argc) {
-      o.top = static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
-    } else if (arg == "--tolerance" && i + 1 < argc) {
-      o.tolerance = std::strtod(argv[++i], nullptr);
-    } else if (!arg.empty() && arg.front() == '-') {
-      std::cerr << "trace_analyze: unknown flag '" << arg << "'\n";
-      usage_and_exit();
-    } else if (o.path.empty()) {
-      o.path = arg;
-    } else {
-      usage_and_exit();
-    }
-  }
-  if (o.path.empty()) usage_and_exit();
-  return o;
-}
-
 /// Exported timestamps are microseconds chosen to round-trip (to_chars), so
-/// multiplying back recovers the exact integer nanosecond.
-Time to_ns(double us) { return static_cast<Time>(std::llround(us * 1000.0)); }
+/// multiplying back recovers the exact integer nanosecond. Hostile values are
+/// clamped to +-1e12 us (11.6 days) so span arithmetic cannot overflow.
+Time to_ns(double us) {
+  constexpr double kMaxUs = 1e12;
+  return static_cast<Time>(std::llround(std::fmin(std::fmax(us, -kMaxUs), kMaxUs) * 1000.0));
+}
 
-bool parse_u64(const jsonmini::Value& obj, std::string_view key, std::uint64_t& out) {
-  const jsonmini::Value* v = obj.find(key);
+bool parse_u64(const Value& obj, std::string_view key, std::uint64_t& out) {
+  const Value* v = obj.find(key);
   if (v == nullptr || !v->is_string()) return false;
   char* end = nullptr;
   out = std::strtoull(v->str.c_str(), &end, 10);
@@ -93,51 +65,30 @@ struct AuditBreakdown {
 struct ParsedTrace {
   std::vector<SpanRecord> spans;
   std::map<std::uint64_t, std::string> trace_run;  ///< trace id -> run label
-  std::map<std::uint64_t, std::string> trace_root_name;
   std::map<std::string, AuditBreakdown> audits;  ///< run label -> breakdown
   std::size_t events = 0;
 };
 
 constexpr std::string_view kDefaultRun = "(default)";
 
-ParsedTrace parse_trace_file(const Options& opts) {
-  std::ifstream in{opts.path, std::ios::binary};
-  if (!in) {
-    std::cerr << "trace_analyze: cannot open " << opts.path << '\n';
-    std::exit(2);
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const std::string text = buf.str();
-
-  jsonmini::Parser parser{text};
-  const auto doc = parser.parse();
-  if (!doc) {
-    std::cerr << "trace_analyze: malformed JSON: " << parser.error() << '\n';
-    std::exit(2);
-  }
-  const jsonmini::Value* events = doc->find("traceEvents");
-  if (events == nullptr || !events->is_array()) {
-    std::cerr << "trace_analyze: not a Chrome trace (no traceEvents array)\n";
-    std::exit(2);
-  }
-
+ParsedTrace parse_trace(const Value& doc) {
+  const Value* events = doc.find("traceEvents");
   // First pass: thread_name metadata gives tid -> track.
-  std::map<int, std::string> tracks;
-  for (const jsonmini::Value& e : events->array) {
+  std::map<double, std::string> tracks;
+  for (const Value& e : events->array) {
     if (e.str_or("ph", "") == "M" && e.str_or("name", "") == "thread_name") {
-      if (const jsonmini::Value* args = e.find("args")) {
-        tracks[static_cast<int>(e.num_or("tid", 0))] = args->str_or("name", "");
+      if (const Value* args = e.find("args")) {
+        tracks[e.num_or("tid", 0)] = args->str_or("name", "");
       }
     }
   }
 
   ParsedTrace out;
-  for (const jsonmini::Value& e : events->array) {
+  for (const Value& e : events->array) {
     if (!e.is_object()) continue;
     ++out.events;
     const std::string ph = e.str_or("ph", "");
-    const jsonmini::Value* args = e.find("args");
+    const Value* args = e.find("args");
     if (ph == "i" && e.str_or("name", "") == "audit.breakdown" && args != nullptr) {
       AuditBreakdown ab;
       ab.count = static_cast<std::uint64_t>(std::strtoull(
@@ -157,14 +108,12 @@ ParsedTrace parse_trace_file(const Options& opts) {
     }
     parse_u64(*args, "parent_span_id", s.parent_span_id);
     s.name = e.str_or("name", "");
-    s.track = tracks[static_cast<int>(e.num_or("tid", 0))];
+    s.track = tracks[e.num_or("tid", 0)];
     s.blame = args->str_or("blame", "");
     s.begin = to_ns(e.num_or("ts", 0.0));
     s.end = s.begin + to_ns(e.num_or("dur", 0.0));
     if (s.parent_span_id == 0) {
-      const std::string run = args->str_or("run", std::string(kDefaultRun));
-      out.trace_run[s.trace_id] = run;
-      out.trace_root_name[s.trace_id] = s.name;
+      out.trace_run[s.trace_id] = args->str_or("run", std::string(kDefaultRun));
     }
     out.spans.push_back(std::move(s));
   }
@@ -199,9 +148,12 @@ bool is_metrics_stage(const std::string& name) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const Options opts = parse_options(argc, argv);
-  const ParsedTrace parsed = parse_trace_file(opts);
+int run_trace(const Args& args) {
+  const std::string& path = args.paths[0];
+  const double tolerance = args.number("--tolerance", 0.01);  // max |share delta| vs the audit
+  const double top = args.number("--top", 5);
+  if (top < 0 || top != std::floor(top)) throw InputError("--top needs a whole number");
+  const ParsedTrace parsed = parse_trace(load(path, Schema::kChromeTrace));
 
   const std::vector<CriticalPath> paths = serve::trace::extract_critical_paths(parsed.spans);
 
@@ -212,7 +164,7 @@ int main(int argc, char** argv) {
     if (p.root == nullptr) ++rootless;
   }
 
-  std::cout << "trace: " << opts.path << "\n"
+  std::cout << "trace: " << path << "\n"
             << "  events " << parsed.events << ", causal spans " << parsed.spans.size()
             << ", traces " << paths.size() << ", orphaned spans " << orphans
             << ", rootless traces " << rootless << "\n";
@@ -261,7 +213,7 @@ int main(int argc, char** argv) {
   }
   std::sort(slowest.begin(), slowest.end(),
             [](const CriticalPath* a, const CriticalPath* b) { return a->total > b->total; });
-  if (slowest.size() > opts.top) slowest.resize(opts.top);
+  if (static_cast<double>(slowest.size()) > top) slowest.resize(static_cast<std::size_t>(top));
   if (!slowest.empty()) std::cout << "\nslowest traces:\n";
   for (const CriticalPath* p : slowest) {
     const auto runIt = parsed.trace_run.find(p->root->trace_id);
@@ -297,7 +249,7 @@ int main(int argc, char** argv) {
       if (is_metrics_stage(name)) cp_sum += serve::sim::to_seconds(t);
     }
     std::cout << "\ncross-check [" << run << "] vs audit.breakdown (" << audit.count
-              << " requests, tolerance " << opts.tolerance << "):\n";
+              << " requests, tolerance " << tolerance << "):\n";
     if (audit_sum <= 0.0 || cp_sum <= 0.0) {
       std::cout << "  FAIL: empty stage accounting on one side\n";
       ok = false;
@@ -311,7 +263,7 @@ int main(int argc, char** argv) {
               ? serve::sim::to_seconds(cpIt->second) / cp_sum
               : 0.0;
       const double delta = cp_share - audit_share;
-      const bool pass = std::abs(delta) <= opts.tolerance;
+      const bool pass = std::abs(delta) <= tolerance;
       std::cout << "  " << (pass ? "ok  " : "FAIL") << "  " << name << ": critical-path "
                 << format_pct(cp_share) << " vs audit " << format_pct(audit_share)
                 << " (delta " << format_pct(delta) << ")\n";
@@ -322,3 +274,5 @@ int main(int argc, char** argv) {
   std::cout << "\n" << (ok ? "OK" : "FAILED") << "\n";
   return ok ? 0 : 1;
 }
+
+}  // namespace scope

@@ -3,10 +3,11 @@
 // Parses the full JSON grammar (objects, arrays, strings with the common
 // escapes, numbers, booleans, null) into a plain value tree; object key
 // order is preserved. No external dependencies — this is what lets the
-// tools/ binaries read servescope-telemetry-v1 files without a JSON library
-// in the container. Not a validator of everything (e.g. \uXXXX escapes are
+// servescope CLI read telemetry, trace and benchmark files without a JSON
+// library. Not a validator of everything (e.g. \uXXXX escapes are
 // passed through verbatim), but strict enough to reject malformed input
-// with a useful message.
+// with a useful message. Nesting is capped at kMaxDepth so hostile input
+// (a file of a million '[') is rejected instead of overflowing the stack.
 #pragma once
 
 #include <cctype>
@@ -56,6 +57,8 @@ struct Value {
 
 class Parser {
  public:
+  static constexpr int kMaxDepth = 256;  ///< far above any export's depth
+
   explicit Parser(std::string_view text) : text_(text) {}
 
   /// Parses one JSON document; std::nullopt on malformed input (error() then
@@ -130,8 +133,16 @@ class Parser {
       return false;
     }
     const char c = text_[pos_];
-    if (c == '{') return parse_object(out);
-    if (c == '[') return parse_array(out);
+    if (c == '{' || c == '[') {
+      if (depth_ == kMaxDepth) {
+        fail("nesting deeper than " + std::to_string(kMaxDepth));
+        return false;
+      }
+      ++depth_;
+      const bool ok = c == '{' ? parse_object(out) : parse_array(out);
+      --depth_;
+      return ok;
+    }
     if (c == '"') {
       out.type = Value::Type::kString;
       return parse_string(out.str);
@@ -153,11 +164,14 @@ class Parser {
       pos_ += 4;
       return true;
     }
-    // Number.
+    // Number; strtod also takes nan, inf and hex, which JSON does not.
     const char* begin = text_.data() + pos_;
     char* end = nullptr;
     const double num = std::strtod(begin, &end);
-    if (end == begin) {
+    const std::string_view lexeme = text_.substr(pos_, static_cast<std::size_t>(end - begin));
+    const bool json_number = (c == '-' || std::isdigit(static_cast<unsigned char>(c))) &&
+                             lexeme.find_first_not_of("0123456789+-.eE") == std::string_view::npos;
+    if (end == begin || !json_number) {
       fail("expected a JSON value");
       return false;
     }
@@ -224,6 +238,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
   std::string error_;
 };
 
