@@ -7,6 +7,7 @@
 #include <string_view>
 
 #include "broker/broker.h"
+#include "core/run.h"
 #include "hw/tracing.h"
 
 namespace serve::core {
@@ -33,88 +34,10 @@ std::uint64_t total_evictions(hw::Platform& platform) {
   return n;
 }
 
-}  // namespace
-
-namespace {
-
-/// Shared warmup/measure/drain skeleton for closed- and open-loop runs.
-template <typename Clients>
-ExperimentResult run_with_clients(const ExperimentSpec& spec, hw::Platform& platform,
-                                  serving::InferenceServer& server, Clients& clients) {
-  auto& sim = platform.sim();
-  if (spec.recorder != nullptr) spec.recorder->start(sim);
-  clients.start();
-
-  // Warmup: fill queues and reach steady state, then reset all statistics.
-  sim.run_until(spec.warmup);
-  server.stats().begin();
-  reset_platform_stats(platform);
-  const std::uint64_t evictions_before = total_evictions(platform);
-  const auto* cache = server.ingress_cache();
-  const std::uint64_t cache_evictions_before = cache != nullptr ? cache->evictions() : 0;
-  const sim::Time window_start = sim.now();
-
-  sim.run_until(spec.warmup + spec.measure);
-  const sim::Time window_end = sim.now();
-
-  ExperimentResult r;
-  const auto& stats = server.stats();
-  r.throughput_rps = stats.throughput();
-  r.completed = stats.completed();
-  r.mean_latency_s = stats.latency().mean();
-  r.p50_latency_s = stats.latency().p50();
-  r.p99_latency_s = stats.latency().p99();
-  r.mean_batch = stats.batch_sizes().mean();
-  r.breakdown = stats.breakdown();
-  r.energy = hw::measure_energy(platform, window_start, window_end);
-  r.gpu_evictions = total_evictions(platform) - evictions_before;
-  r.cache_tensor_hits = stats.cache_tensor_hits();
-  r.cache_image_hits = stats.cache_image_hits();
-  r.cache_hit_rate = stats.cache_hit_rate();
-  if (cache != nullptr) r.cache_evictions = cache->evictions() - cache_evictions_before;
-  r.dropped = stats.dropped();
-  r.failed = stats.failed();
-  r.rejected = stats.rejected();
-  r.breaker_opens = stats.breaker_opens();
-  r.degraded = stats.degraded();
-  r.broker_failovers = stats.broker_failovers();
-  r.client_retries = clients.retries();
-  r.client_timeouts = clients.timeouts();
-
-  // Stop sampling at the window edge: the drain below runs the simulator
-  // dry, and a still-armed recorder would re-schedule itself forever.
-  if (spec.recorder != nullptr) spec.recorder->stop();
-
-  // Drain: stop the clients, let in-flight requests complete, close the
-  // server so scheduler processes exit cleanly.
-  clients.stop();
-  sim.run();
-  server.shutdown();
-  sim.run();
-
-  if (auto* audit = server.auditor()) {
-    r.audit_violations = audit->violation_count();
-    r.audit_report = audit->report();
-  }
-  // The triggered-capture binding points into the auditor, which dies with
-  // the server when this frame unwinds; the engine must not outlive it armed.
-  if (spec.alerts != nullptr) spec.alerts->release_triggered_sampler();
-  // Callback instruments capture the platform/server/clients by reference;
-  // convert them to plain values while everything is still alive so the
-  // registry can be read (and exported) after this stack frame unwinds.
-  if (spec.registry != nullptr) spec.registry->freeze_callbacks();
-  return r;
-}
-
-/// Per-request spans come from the auditor; stream them into spec.trace
-/// alongside the device counters attach_tracer already records. With a
-/// causal tracer the auditor also originates SpanContexts and the recorder's
-/// memory-bound accounting is surfaced through the telemetry registry.
-void wire_audit_trace(const ExperimentSpec& spec, serving::InferenceServer& server) {
-  if (spec.trace != nullptr && server.auditor() != nullptr) {
-    server.auditor()->set_trace(spec.trace);
-    if (spec.tracer != nullptr) server.auditor()->set_causal_tracer(spec.tracer);
-  }
+/// Experiment-only telemetry wiring: the trace's memory-bound accounting in
+/// the registry, and the SLO watch plane's trace track and — when auditing
+/// with a causal tracer — the auditor's sampler for triggered capture.
+void wire_telemetry(const ExperimentSpec& spec, serving::InferenceServer& server) {
   if (spec.trace != nullptr && spec.registry != nullptr) {
     sim::TraceRecorder* rec = spec.trace;
     spec.registry->counter_fn("trace_events_recorded_total", {},
@@ -124,97 +47,115 @@ void wire_audit_trace(const ExperimentSpec& spec, serving::InferenceServer& serv
   }
   if (spec.alerts != nullptr) {
     if (spec.trace != nullptr) spec.alerts->set_trace(spec.trace);
-    // Triggered capture only makes sense when requests are being sampled at
-    // all: the auditor owns the sampler that originates SpanContexts.
     if (server.auditor() != nullptr && spec.tracer != nullptr) {
       spec.alerts->set_triggered_sampler(&server.auditor()->sampler());
     }
   }
 }
 
-/// Fault-injection wiring owned by the runner: the optional result broker
-/// (shares the fault plan so outages hit it), staging-budget shrink
-/// transitions, and fault-window spans on the trace.
-struct FaultHarness {
-  std::optional<broker::SimBroker<std::uint64_t>> result_broker;
-
-  void install(const ExperimentSpec& spec, sim::Simulator& sim, hw::Platform& platform,
-               serving::InferenceServer& server) {
-    if (spec.server.broker_publish.publish_results) {
-      result_broker.emplace(sim, broker::redis_profile(spec.calib.broker), spec.faults,
-                            spec.registry);
-      server.set_result_broker(&*result_broker);
-    }
-    if (spec.faults == nullptr || spec.faults->empty()) return;
-    if (spec.trace != nullptr) spec.faults->annotate(*spec.trace);
-    if (auto* audit = server.auditor()) {
-      for (const auto& w : spec.faults->windows()) {
-        audit->on_fault_window(sim::fault_kind_name(w.kind), w.begin, w.end);
-      }
-    }
-    spec.faults->schedule_transitions(
-        sim, [&platform, &server](const sim::FaultWindow& w, bool begin) {
-          if (w.kind != sim::FaultKind::kGpuMemoryShrink) return;
-          for (std::size_t g = 0; g < platform.gpu_count(); ++g) {
-            if (w.target != sim::FaultWindow::kAllTargets && static_cast<int>(g) != w.target) {
-              continue;
-            }
-            auto& gpu = platform.gpu(g);
-            const std::int64_t full = gpu.calib().staging_budget_bytes;
-            const auto shrunk = std::max<std::int64_t>(
-                1, static_cast<std::int64_t>(static_cast<double>(full) * w.magnitude));
-            gpu.stager().set_budget(begin ? shrunk : full);
-          }
-          // Host memory pressure hits the ingress cache too: the same shrink
-          // window scales its byte budgets, evicting LRU entries immediately.
-          if (auto* cache = server.ingress_cache()) {
-            cache->set_budget_scale(begin ? w.magnitude : 1.0);
-          }
-        });
+/// Staging-budget shrink windows scale every targeted GPU's staging budget
+/// and, as host memory pressure, the ingress cache's byte budgets.
+void apply_memory_shrink(hw::Platform& platform, serving::InferenceServer& server,
+                         const sim::FaultWindow& w, bool begin) {
+  if (w.kind != sim::FaultKind::kGpuMemoryShrink) return;
+  for (std::size_t g = 0; g < platform.gpu_count(); ++g) {
+    if (w.target != sim::FaultWindow::kAllTargets && static_cast<int>(g) != w.target) continue;
+    auto& gpu = platform.gpu(g);
+    const std::int64_t full = gpu.calib().staging_budget_bytes;
+    const auto shrunk = std::max<std::int64_t>(
+        1, static_cast<std::int64_t>(static_cast<double>(full) * w.magnitude));
+    gpu.stager().set_budget(begin ? shrunk : full);
   }
-};
+  if (auto* cache = server.ingress_cache()) cache->set_budget_scale(begin ? w.magnitude : 1.0);
+}
+
+/// One body for closed- and open-loop runs, generic over the client type.
+template <typename Clients>
+ExperimentResult run_serving(const ExperimentSpec& spec, typename Clients::Options client_opts) {
+  Run run{{.trace = spec.trace,
+           .tracer = spec.tracer,
+           .faults = spec.faults,
+           .registry = spec.registry,
+           .recorder = spec.recorder,
+           .alerts = spec.alerts}};
+  auto& sim = run.sim();
+  hw::Platform platform{sim,
+                        {.calib = spec.calib,
+                         .gpu_count = spec.gpu_count,
+                         .faults = spec.faults,
+                         .registry = spec.registry}};
+  if (spec.trace != nullptr) hw::attach_tracer(platform, *spec.trace);
+  serving::InferenceServer server{platform, spec.server};
+  run.add_server(server);
+  wire_telemetry(spec, server);
+  // The optional result broker shares the fault plan so outages hit it.
+  std::optional<broker::SimBroker<std::uint64_t>> result_broker;
+  if (spec.server.broker_publish.publish_results) {
+    result_broker.emplace(sim, broker::redis_profile(spec.calib.broker), spec.faults,
+                          spec.registry);
+    server.set_result_broker(&*result_broker);
+  }
+  run.wire_faults([&platform, &server](const sim::FaultWindow& w, bool begin) {
+    apply_memory_shrink(platform, server, w, begin);
+  });
+  client_opts.image_source =
+      spec.image_source ? spec.image_source : serving::fixed_image(spec.image);
+  client_opts.seed = spec.seed;
+  Clients clients{server, std::move(client_opts)};
+  clients.start();
+
+  ExperimentResult r;
+  const auto* cache = server.ingress_cache();
+  std::uint64_t evictions_before = 0;
+  std::uint64_t cache_evictions_before = 0;
+  const auto& stats = server.stats();
+  auto verdict = run.execute(
+      spec.warmup, spec.measure,
+      {.open_window =
+           [&] {
+             reset_platform_stats(platform);
+             evictions_before = total_evictions(platform);
+             cache_evictions_before = cache != nullptr ? cache->evictions() : 0;
+           },
+       .close_window =
+           [&] {
+             r.throughput_rps = stats.throughput();
+             r.completed = stats.completed();
+             r.mean_latency_s = stats.latency().mean();
+             r.p50_latency_s = stats.latency().p50();
+             r.p99_latency_s = stats.latency().p99();
+             r.mean_batch = stats.batch_sizes().mean();
+             r.breakdown = stats.breakdown();
+             r.energy = hw::measure_energy(platform, stats.window().start(), sim.now());
+             r.gpu_evictions = total_evictions(platform) - evictions_before;
+             r.cache_tensor_hits = stats.cache_tensor_hits();
+             r.cache_image_hits = stats.cache_image_hits();
+             r.cache_hit_rate = stats.cache_hit_rate();
+             if (cache != nullptr) r.cache_evictions = cache->evictions() - cache_evictions_before;
+             r.dropped = stats.dropped();
+             r.failed = stats.failed();
+             r.rejected = stats.rejected();
+             r.breaker_opens = stats.breaker_opens();
+             r.degraded = stats.degraded();
+             r.broker_failovers = stats.broker_failovers();
+             r.client_retries = clients.retries();
+             r.client_timeouts = clients.timeouts();
+           },
+       .stop_load = [&] { clients.stop(); }});
+  r.audit_violations = verdict.violations;
+  r.audit_report = std::move(verdict.report);
+  return r;
+}
 
 }  // namespace
 
 ExperimentResult run_experiment(const ExperimentSpec& spec) {
-  sim::Simulator sim;
-  hw::Platform platform{sim,
-                        {.calib = spec.calib,
-                         .gpu_count = spec.gpu_count,
-                         .faults = spec.faults,
-                         .registry = spec.registry}};
-  if (spec.trace != nullptr) hw::attach_tracer(platform, *spec.trace);
-  serving::InferenceServer server{platform, spec.server};
-  wire_audit_trace(spec, server);
-  FaultHarness harness;
-  harness.install(spec, sim, platform, server);
-  serving::ClosedLoopClients clients{
-      server,
-      {.concurrency = spec.concurrency,
-       .image_source = spec.image_source ? spec.image_source : serving::fixed_image(spec.image),
-       .seed = spec.seed}};
-  return run_with_clients(spec, platform, server, clients);
+  return run_serving<serving::ClosedLoopClients>(spec, {.concurrency = spec.concurrency});
 }
 
 ExperimentResult run_open_loop(const ExperimentSpec& spec,
                                serving::OpenLoopClients::Interarrival interarrival) {
-  sim::Simulator sim;
-  hw::Platform platform{sim,
-                        {.calib = spec.calib,
-                         .gpu_count = spec.gpu_count,
-                         .faults = spec.faults,
-                         .registry = spec.registry}};
-  if (spec.trace != nullptr) hw::attach_tracer(platform, *spec.trace);
-  serving::InferenceServer server{platform, spec.server};
-  wire_audit_trace(spec, server);
-  FaultHarness harness;
-  harness.install(spec, sim, platform, server);
-  serving::OpenLoopClients clients{
-      server,
-      {.interarrival = std::move(interarrival),
-       .image_source = spec.image_source ? spec.image_source : serving::fixed_image(spec.image),
-       .seed = spec.seed}};
-  return run_with_clients(spec, platform, server, clients);
+  return run_serving<serving::OpenLoopClients>(spec, {.interarrival = std::move(interarrival)});
 }
 
 ExperimentResult run_zero_load(ExperimentSpec spec) {
@@ -249,14 +190,17 @@ HarnessOptions parse_harness_options(int argc, const char* const* argv) {
     } else if (arg == "--trace-max-events") {
       if (i + 1 >= argc) throw std::invalid_argument("--trace-max-events requires a count");
       const std::string v = argv[++i];
-      std::size_t pos = 0;
+      // Digits only: std::stoull would accept " 7", "+3", and "-1" (which
+      // it wraps to 2^64 - 1, silently lifting the event cap).
       unsigned long long n = 0;
-      try {
-        n = std::stoull(v, &pos);
-      } catch (const std::exception&) {
-        pos = 0;
+      if (!v.empty() && v.find_first_not_of("0123456789") == std::string::npos) {
+        try {
+          n = std::stoull(v);
+        } catch (const std::out_of_range&) {
+          n = 0;
+        }
       }
-      if (pos != v.size() || n == 0) {
+      if (n == 0) {
         throw std::invalid_argument("--trace-max-events needs a positive integer, got '" + v + "'");
       }
       opts.trace_max_events = static_cast<std::size_t>(n);

@@ -45,7 +45,7 @@ struct ExperimentSpec {
 
   /// Optional causal tracer (shared across rows writing the same trace):
   /// sampled requests then carry SpanContexts, spans get trace/span/parent
-  /// ids + blame args, and tools/trace_analyze can rebuild the trees.
+  /// ids + blame args, and `servescope trace` can rebuild the trees.
   /// Requires `trace`; its recorder should be `trace`.
   trace::CausalTracer* tracer = nullptr;
 

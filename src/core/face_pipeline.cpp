@@ -6,14 +6,10 @@
 #include <vector>
 
 #include "broker/broker.h"
-#include "hw/devices.h"
-#include "metrics/histogram.h"
+#include "core/fan_out.h"
 #include "models/model_zoo.h"
 #include "serving/batcher.h"
-#include "sim/channel.h"
 #include "sim/rng.h"
-#include "sim/simulator.h"
-#include "sim/sync.h"
 
 namespace serve::core {
 
@@ -23,19 +19,11 @@ using metrics::Stage;
 using sim::seconds;
 using sim::Time;
 
-struct Frame {
-  Frame(sim::Simulator& sim, std::uint64_t id_, int faces_)
-      : id(id_), faces(faces_), remaining(faces_), arrival(sim.now()), done(sim) {}
-
-  std::uint64_t id;
-  int faces;
-  int remaining;
-  Time arrival;
+/// A video frame: fans out into one identification per detected face.
+struct Frame : fan_out::Job {
+  using Job::Job;
   Time publish_start = 0;   ///< detection handed faces to the broker
   Time last_delivered = 0;  ///< broker delivered the final face
-  metrics::StageTimes stages{};
-  trace::SpanContext ctx{};  ///< causal root (zero when untraced/unsampled)
-  sim::Event done;
 };
 
 using FramePtr = std::shared_ptr<Frame>;
@@ -48,42 +36,28 @@ struct FaceMsg {
 };
 
 /// Whole pipeline state bundled for the coroutine bodies.
-struct Pipeline {
+struct Pipeline : fan_out::Pipeline {
   Pipeline(sim::Simulator& sim_, const FacePipelineSpec& spec_)
-      : sim(sim_),
+      : fan_out::Pipeline(sim_, spec_, "frame", "faces"),
         spec(spec_),
-        platform(sim_, {.calib = spec_.calib, .gpu_count = 1}),
         broker(sim_, spec_.broker == BrokerKind::kKafka
                          ? broker::kafka_profile(spec_.calib.broker)
                          : broker::redis_profile(spec_.calib.broker)),
         frames_in(sim_, std::numeric_limits<std::size_t>::max(), "frames"),
         id_batcher(sim_, {.dynamic = true, .max_batch = spec_.id_max_batch}),
         rng(spec_.seed),
-        sampler(spec_.trace_sampler),
         detection(models::faster_rcnn()),
         identification(models::facenet()) {
     broker.set_tracer(spec_.tracer);
   }
 
-  sim::Simulator& sim;
   const FacePipelineSpec& spec;
-  hw::Platform platform;
   broker::SimBroker<FaceMsg> broker;
   sim::Channel<FramePtr> frames_in;
   serving::Batcher<FaceMsg> id_batcher;
   sim::Rng rng;
-  trace::TraceSampler sampler;
   const models::ModelDesc& detection;
   const models::ModelDesc& identification;
-
-  // Measurement window.
-  bool measuring = false;
-  std::uint64_t frames_done = 0;
-  std::uint64_t faces_done = 0;
-  metrics::Histogram latency;
-  metrics::Breakdown breakdown;
-  std::uint64_t next_frame_id = 1;
-  bool stopping = false;
 
   [[nodiscard]] int sample_faces() {
     if (!spec.stochastic_faces) return spec.faces_per_frame;
@@ -91,55 +65,16 @@ struct Pipeline {
     return n == 0 ? 1 : static_cast<int>(n);  // a frame enters only if faces exist
   }
 
-  /// Records a span under `parent` on the frame's trace track. No-op without
-  /// a tracer; the tracer itself no-ops unsampled contexts (ids still
-  /// allocated, keeping id assignment scheduling-independent).
-  void span(const trace::SpanContext& parent, std::uint64_t frame_id, std::string name,
-            Time begin, Time end, sim::SpanArgs args = {}) {
-    if (spec.tracer != nullptr && parent.valid()) {
-      spec.tracer->child_span(parent, "frame." + std::to_string(frame_id), std::move(name),
-                              begin, end, std::move(args));
-    }
-  }
-
   void finalize(Frame& frame, Time id_batch_span) {
-    frame.stages[Stage::kInference] += sim::to_seconds(id_batch_span);
     if (spec.broker != BrokerKind::kFused) {
       frame.stages[Stage::kBroker] +=
           sim::to_seconds(frame.last_delivered - frame.publish_start);
     }
-    const Time latency_ns = sim.now() - frame.arrival;
-    // Whatever is not attributed to a named stage is scheduler queueing.
-    const double other = sim::to_seconds(latency_ns) - frame.stages.total();
-    if (other > 0.0) frame.stages[Stage::kQueue] += other;
-    if (measuring) {
-      ++frames_done;
-      faces_done += static_cast<std::uint64_t>(frame.faces);
-      latency.add(sim::to_seconds(latency_ns));
-      breakdown.add(frame.stages);
-    }
-    if (spec.tracer != nullptr && frame.ctx.valid()) {
-      sim::SpanArgs args;
-      if (!spec.trace_label.empty()) args.emplace_back("run", spec.trace_label);
-      args.emplace_back("frame_id", std::to_string(frame.id));
-      args.emplace_back("faces", std::to_string(frame.faces));
-      spec.tracer->record(frame.ctx, "frame." + std::to_string(frame.id), "frame",
-                          frame.arrival, sim.now(), std::move(args));
-    }
-    frame.done.set();
+    fan_out::Pipeline::finalize(frame, id_batch_span);
   }
 };
 
 void charge(Frame& f, Stage s, Time dt) { f.stages[s] += sim::to_seconds(dt); }
-
-/// Closed-loop frame source: keeps one frame outstanding per client.
-sim::Process frame_client(Pipeline& p) {
-  while (!p.stopping) {
-    auto frame = std::make_shared<Frame>(p.sim, p.next_frame_id++, p.sample_faces());
-    p.frames_in.try_put(frame);
-    co_await frame->done.wait();
-  }
-}
 
 /// Publishes one face message (spawned so detection is not serialized on
 /// broker IO; ordering is preserved by the broker's FIFO IO pool). The
@@ -158,17 +93,9 @@ sim::Process detection_loop(Pipeline& p) {
     auto got = co_await p.frames_in.get();
     if (!got) break;
     FramePtr frame = std::move(*got);
-    // Originate the frame's causal trace: the sampling fate is decided here,
-    // from the frame id alone, and carried by every downstream participant.
-    if (p.spec.tracer != nullptr) {
-      frame->ctx = p.spec.tracer->begin_trace(p.sampler.sample(frame->id));
-      // Time between frame arrival and detection pickup (closed-loop frames
-      // queue here); without this span it would surface as root self time.
-      if (p.sim.now() > frame->arrival) {
-        p.span(frame->ctx, frame->id, "queue", frame->arrival, p.sim.now(),
-               {{"blame", "detection-pickup"}});
-      }
-    }
+    // The frame's sampling fate is decided here and carried by every
+    // downstream participant.
+    p.begin_trace(*frame, "detection-pickup");
 
     // Frame preprocessing through a GPU pipeline instance.
     {
@@ -176,7 +103,7 @@ sim::Process detection_loop(Pipeline& p) {
       auto pipe = co_await gpu.preproc().acquire();
       charge(*frame, Stage::kQueue, p.sim.now() - t0);
       if (p.sim.now() > t0) {
-        p.span(frame->ctx, frame->id, "queue", t0, p.sim.now(),
+        p.span(*frame, "queue", t0, p.sim.now(),
                {{"blame", "preproc-pipeline"}});
       }
       const double pre =
@@ -184,7 +111,7 @@ sim::Process detection_loop(Pipeline& p) {
       const Time p0 = p.sim.now();
       co_await p.sim.wait(seconds(pre));
       charge(*frame, Stage::kPreprocess, seconds(pre));
-      p.span(frame->ctx, frame->id, "preprocess", p0, p.sim.now());
+      p.span(*frame, "preprocess", p0, p.sim.now());
     }
 
     // Detection (batch 1: frames flow through the detector one at a time).
@@ -193,26 +120,26 @@ sim::Process detection_loop(Pipeline& p) {
       auto engine = co_await gpu.compute().acquire();
       charge(*frame, Stage::kQueue, p.sim.now() - t0);
       if (p.sim.now() > t0) {
-        p.span(frame->ctx, frame->id, "queue", t0, p.sim.now(), {{"blame", "engine-wait"}});
+        p.span(*frame, "queue", t0, p.sim.now(), {{"blame", "engine-wait"}});
       }
       const double det = gpu.inference_batch_seconds(p.detection.flops(), 1, 1.0, false);
       const Time d0 = p.sim.now();
       co_await p.sim.wait(seconds(det));
       charge(*frame, Stage::kInference, seconds(det));
-      p.span(frame->ctx, frame->id, "inference", d0, p.sim.now(), {{"model", "detection"}});
+      p.span(*frame, "inference", d0, p.sim.now(), {{"model", "detection"}});
     }
 
     if (p.spec.broker == BrokerKind::kFused) {
       // Fused system: identify each face in-process, one invocation per
       // detected face (no cross-frame batching possible).
       Time id_total = 0;
-      for (int i = 0; i < frame->faces; ++i) {
+      for (int i = 0; i < frame->width; ++i) {
         auto engine = co_await gpu.compute().acquire();
         const double idt = gpu.inference_batch_seconds(p.identification.flops(), 1, 1.0, false);
         const Time t0 = p.sim.now();
         co_await p.sim.wait(seconds(idt));
         id_total += p.sim.now() - t0;
-        p.span(frame->ctx, frame->id, "inference", t0, p.sim.now(),
+        p.span(*frame, "inference", t0, p.sim.now(),
                {{"model", "identification"}, {"face", std::to_string(i)}});
       }
       p.finalize(*frame, id_total);
@@ -227,11 +154,11 @@ sim::Process detection_loop(Pipeline& p) {
       co_await p.sim.wait(seconds(p.spec.calib.broker.pipeline_sync_s));
       charge(*frame, Stage::kQueue, seconds(p.spec.calib.broker.pipeline_sync_s));
       if (p.sim.now() > s0) {
-        p.span(frame->ctx, frame->id, "queue", s0, p.sim.now(), {{"blame", "pipeline-sync"}});
+        p.span(*frame, "queue", s0, p.sim.now(), {{"blame", "pipeline-sync"}});
       }
     }
     frame->publish_start = p.sim.now();
-    for (int i = 0; i < frame->faces; ++i) {
+    for (int i = 0; i < frame->width; ++i) {
       p.sim.spawn(publish_face(p, FaceMsg{frame, i}));
     }
   }
@@ -293,36 +220,16 @@ sim::Process identification_loop(Pipeline& p) {
 }  // namespace
 
 FacePipelineResult run_face_pipeline(const FacePipelineSpec& spec) {
-  sim::Simulator sim;
-  Pipeline p{sim, spec};
-
-  sim.spawn(detection_loop(p));
+  Run run{{}};
+  Pipeline p{run.sim(), spec};
+  p.sim.spawn(detection_loop(p));
   if (spec.broker != BrokerKind::kFused) {
-    sim.spawn(consume_pump(p));
-    sim.spawn(identification_loop(p));
+    p.sim.spawn(consume_pump(p));
+    p.sim.spawn(identification_loop(p));
   }
-  for (int i = 0; i < spec.concurrency; ++i) sim.spawn(frame_client(p));
-
-  sim.run_until(spec.warmup);
-  p.measuring = true;
-  const Time window_start = sim.now();
-  sim.run_until(spec.warmup + spec.measure);
-  const double window = sim::to_seconds(sim.now() - window_start);
-
-  FacePipelineResult r;
-  r.frames = p.frames_done;
-  r.frames_per_s = window > 0 ? static_cast<double>(p.frames_done) / window : 0.0;
-  r.faces_per_s = window > 0 ? static_cast<double>(p.faces_done) / window : 0.0;
-  r.mean_latency_s = p.latency.mean();
-  r.p99_latency_s = p.latency.p99();
-  r.breakdown = p.breakdown;
-
-  // Drain and stop.
-  p.stopping = true;
-  sim.run();
-  p.frames_in.close();
-  sim.run();
-  return r;
+  return fan_out::run_closed_loop<FacePipelineResult>(
+      run, p, p.frames_in, spec.concurrency, [&p] { return p.sample_faces(); }, spec.warmup,
+      spec.measure);
 }
 
 }  // namespace serve::core

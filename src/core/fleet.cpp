@@ -7,8 +7,9 @@
 #include <string>
 #include <utility>
 
-#include "metrics/histogram.h"
+#include "core/run.h"
 #include "metrics/time_weighted.h"
+#include "metrics/window.h"
 #include "sim/task.h"
 #include "trace/span_context.h"
 
@@ -87,12 +88,6 @@ struct FleetBalancer {
         hedge_tokens(spec_.server.balancer.hedge.budget) {
     for (int gpus : spec.gpus_per_node) {
       nodes.push_back(std::make_unique<Node>(sim, spec, gpus));
-    }
-    for (auto& n : nodes) {
-      if (auto* audit = n->server->auditor()) {
-        if (spec.trace != nullptr) audit->set_trace(spec.trace);
-        if (spec.tracer != nullptr) audit->set_causal_tracer(spec.tracer);
-      }
     }
   }
 
@@ -178,7 +173,7 @@ struct FleetBalancer {
   /// deterministic per-request deadline, first response wins.
   sim::Task<void> serve_logical() {
     auto lg = std::make_shared<Logical>(sim, next_logical_id_++, sim.now());
-    ++issued;
+    ++tally.issued;
     if (spec.tracer != nullptr && sampler.sample(lg->id)) {
       lg->traced = true;
       lg->ctx = spec.tracer->begin_trace(true);
@@ -192,13 +187,13 @@ struct FleetBalancer {
           const int second = pick_node(primary);
           if (second >= 0) {
             hedge_tokens -= 1.0;
-            ++hedges;
+            ++tally.hedges;
             lg->hedged = true;
             lg->hedge_time = sim.now();
             launch(lg, second, true);
           }
         } else {
-          ++hedges_denied;
+          ++tally.hedges_denied;
         }
       }
     }
@@ -216,7 +211,7 @@ struct FleetBalancer {
     ++node.outstanding;
     node.outstanding_integral.set(sim.now(), static_cast<double>(node.outstanding));
     ++node.dispatches_total;
-    if (measuring) ++node.dispatches_window;
+    if (window.measuring()) ++node.dispatches_window;
     const Time t0 = sim.now();
     bool success = false;
     bool neutral = false;  // hedge-cancelled: no health or latency signal
@@ -300,7 +295,7 @@ struct FleetBalancer {
     if (trial) node.health.end_trial();
     const Time now = sim.now();
     if (neutral) {
-      ++cancelled;  // a hedge loser, drop-accounted on its node; not the node's fault
+      ++tally.cancelled;  // a hedge loser, drop-accounted on its node; not the node's fault
     } else {
       node.health.on_request_outcome(success, now);
       sync_node_state(n);
@@ -319,7 +314,7 @@ struct FleetBalancer {
 
   void decide(const LogicalPtr& lg, bool success, bool by_hedge, Time now) {
     if (success) {
-      ++completed;
+      ++tally.completed;
       // Run-wide completion-charged latency sum: the λ·W side of the fleet
       // Little's-law audit, paired against the per-node outstanding
       // integrals (the L side). Charged at every success, not just inside
@@ -327,19 +322,16 @@ struct FleetBalancer {
       latency_sum_s += sim::to_seconds(now - lg->start);
       hedge_tokens =
           std::min(cfg.hedge.budget, hedge_tokens + cfg.hedge.budget_refill_per_success);
-      if (measuring) {
-        ++window_completed;
-        latency.add(sim::to_seconds(now - lg->start));
-      }
+      window.record(sim::to_seconds(now - lg->start));
     } else {
-      ++failed;
+      ++tally.failed;
       const std::string_view kind = lg->fail_kind;
-      if (kind == "crash") ++crash_failed;
-      else if (kind == "gray") ++gray_failed;
+      if (kind == "crash") ++tally.crash_failed;
+      else if (kind == "gray") ++tally.gray_failed;
     }
     if (lg->hedged) {
-      if (by_hedge) ++hedge_wins;
-      else ++hedge_losses;
+      if (by_hedge) ++tally.hedge_wins;
+      else ++tally.hedge_losses;
       // First response wins; cancel the sibling still in flight so its node
       // drops it at the next dispatch point (drop-accounted, conserved).
       for (auto& r : lg->attempts) {
@@ -372,7 +364,7 @@ struct FleetBalancer {
     for (;;) {
       co_await sim.wait(cfg.health.probe_interval);
       if (stopped) co_return;
-      ++probes;
+      ++tally.probes;
       const Time t0 = sim.now();
       const double link =
           spec.faults != nullptr ? spec.faults->partition_delay_s(n, t0) : 0.0;
@@ -381,7 +373,7 @@ struct FleetBalancer {
       const bool ok = !crashed && sim::seconds(rtt_s) <= cfg.health.probe_timeout;
       co_await sim.wait(ok ? std::max<Time>(sim::seconds(rtt_s), 1)
                            : cfg.health.probe_timeout);
-      if (!ok) ++probe_failures;
+      if (!ok) ++tally.probe_failures;
       node.health.on_probe(ok, sim.now());
       sync_node_state(n);
       if (spec.trace != nullptr && !ok) {
@@ -466,21 +458,21 @@ struct FleetBalancer {
                       [n] { return static_cast<double>(n->health.rejoins()); });
     }
     reg->counter_fn("fleet_requests_total", {{"outcome", "ok"}},
-                    [this] { return static_cast<double>(completed); });
+                    [this] { return static_cast<double>(tally.completed); });
     reg->counter_fn("fleet_requests_total", {{"outcome", "fail"}},
-                    [this] { return static_cast<double>(failed); });
-    reg->counter_fn("fleet_probes_total", {}, [this] { return static_cast<double>(probes); });
+                    [this] { return static_cast<double>(tally.failed); });
+    reg->counter_fn("fleet_probes_total", {}, [this] { return static_cast<double>(tally.probes); });
     reg->counter_fn("fleet_probe_failures_total", {},
-                    [this] { return static_cast<double>(probe_failures); });
-    reg->counter_fn("fleet_hedges_total", {}, [this] { return static_cast<double>(hedges); });
+                    [this] { return static_cast<double>(tally.probe_failures); });
+    reg->counter_fn("fleet_hedges_total", {}, [this] { return static_cast<double>(tally.hedges); });
     reg->counter_fn("fleet_hedge_wins_total", {},
-                    [this] { return static_cast<double>(hedge_wins); });
+                    [this] { return static_cast<double>(tally.hedge_wins); });
     reg->counter_fn("fleet_hedge_losses_total", {},
-                    [this] { return static_cast<double>(hedge_losses); });
+                    [this] { return static_cast<double>(tally.hedge_losses); });
     reg->counter_fn("fleet_hedges_denied_total", {},
-                    [this] { return static_cast<double>(hedges_denied); });
+                    [this] { return static_cast<double>(tally.hedges_denied); });
     reg->counter_fn("fleet_cancelled_total", {},
-                    [this] { return static_cast<double>(cancelled); });
+                    [this] { return static_cast<double>(tally.cancelled); });
     reg->counter_fn("fleet_latency_seconds_total", {}, [this] { return latency_sum_s; });
     reg->gauge_fn("fleet_hedge_tokens", {}, [this] { return hedge_tokens; });
   }
@@ -496,17 +488,10 @@ struct FleetBalancer {
   std::uint64_t next_logical_id_ = 1;
   std::uint64_t next_request_id_ = 1;
   bool stopped = false;
-  bool measuring = false;
-  metrics::Histogram latency;
+  metrics::Window window;  ///< logical goodput and latency
   double hedge_tokens;
 
-  // Run-wide logical accounting (see FleetResult).
-  std::uint64_t issued = 0, completed = 0, failed = 0;
-  std::uint64_t crash_failed = 0, gray_failed = 0;
-  std::uint64_t hedges = 0, hedge_wins = 0, hedge_losses = 0, hedges_denied = 0;
-  std::uint64_t cancelled = 0;
-  std::uint64_t probes = 0, probe_failures = 0;
-  std::uint64_t window_completed = 0;
+  FleetResult tally;  ///< run-wide accounting, counted in place
   double latency_sum_s = 0.0;  ///< completion-charged; fleet_latency_seconds_total
 };
 
@@ -517,20 +502,17 @@ FleetResult run_fleet(const FleetSpec& spec) {
   if (spec.rate_rps <= 0.0 && spec.concurrency <= 0) {
     throw std::invalid_argument("run_fleet: need closed-loop clients or an offered rate");
   }
-  sim::Simulator sim;
+  Run run{{.trace = spec.trace,
+           .tracer = spec.tracer,
+           .faults = spec.faults,
+           .registry = spec.registry,
+           .recorder = spec.recorder}};
+  auto& sim = run.sim();
   FleetBalancer fleet{sim, spec};
   fleet.register_instruments();
-
-  if (spec.faults != nullptr && !spec.faults->empty()) {
-    if (spec.trace != nullptr) spec.faults->annotate(*spec.trace);
-    if (auto* audit = fleet.nodes.front()->server->auditor()) {
-      for (const auto& w : spec.faults->windows()) {
-        audit->on_fault_window(sim::fault_kind_name(w.kind), w.begin, w.end);
-      }
-    }
-    spec.faults->schedule_transitions(
-        sim, [&fleet](const sim::FaultWindow& w, bool begin) { fleet.on_fault_edge(w, begin); });
-  }
+  for (auto& n : fleet.nodes) run.add_server(*n->server);
+  run.wire_faults(
+      [&fleet](const sim::FaultWindow& w, bool begin) { fleet.on_fault_edge(w, begin); });
   if (spec.server.balancer.health.enabled) {
     for (std::size_t i = 0; i < fleet.nodes.size(); ++i) {
       sim.spawn(fleet.probe_loop(static_cast<int>(i)));
@@ -542,55 +524,30 @@ FleetResult run_fleet(const FleetSpec& spec) {
     for (int i = 0; i < spec.concurrency; ++i) sim.spawn(fleet.client());
   }
 
-  if (spec.recorder != nullptr) spec.recorder->start(sim);
-  sim.run_until(spec.warmup);
-  for (auto& n : fleet.nodes) n->server->stats().begin();
-  fleet.measuring = true;
-  sim.run_until(spec.warmup + spec.measure);
-  // Stop at the window edge: the drain runs the simulator dry, and a live
-  // recorder would re-schedule its tick forever.
-  if (spec.recorder != nullptr) spec.recorder->stop();
+  FleetResult& r = fleet.tally;
+  auto verdict = run.execute(
+      spec.warmup, spec.measure,
+      {.open_window = [&] { fleet.window.open(sim.now()); },
+       .close_window =
+           [&] {
+             for (auto& n : fleet.nodes) {
+               r.node_throughput_rps.push_back(n->server->stats().throughput());
+               r.node_dispatches.push_back(n->dispatches_window);
+             }
+             r.throughput_rps = fleet.window.throughput(sim.now());
+             r.mean_latency_s = fleet.window.latency().mean();
+             r.p99_latency_s = fleet.window.latency().p99();
+           },
+       // Stopping the load also ends the probe loops.
+       .stop_load = [&] { fleet.stopped = true; }});
 
-  FleetResult r;
-  for (auto& n : fleet.nodes) {
-    r.node_throughput_rps.push_back(n->server->stats().throughput());
-    r.node_dispatches.push_back(n->dispatches_window);
-  }
-  fleet.measuring = false;
-  r.throughput_rps =
-      static_cast<double>(fleet.window_completed) / sim::to_seconds(spec.measure);
-  r.mean_latency_s = fleet.latency.mean();
-  r.p99_latency_s = fleet.latency.p99();
-
-  // Drain: stop the load and the probes, let every in-flight attempt reach a
-  // terminal state, then close the nodes.
-  fleet.stopped = true;
-  sim.run();
-  for (auto& n : fleet.nodes) n->server->shutdown();
-  sim.run();
-
-  r.issued = fleet.issued;
-  r.completed = fleet.completed;
-  r.failed = fleet.failed;
-  r.crash_failed = fleet.crash_failed;
-  r.gray_failed = fleet.gray_failed;
-  r.hedges = fleet.hedges;
-  r.hedge_wins = fleet.hedge_wins;
-  r.hedge_losses = fleet.hedge_losses;
-  r.hedges_denied = fleet.hedges_denied;
-  r.cancelled = fleet.cancelled;
-  r.probes = fleet.probes;
-  r.probe_failures = fleet.probe_failures;
   for (auto& n : fleet.nodes) {
     r.ejections += n->health.ejections();
     r.rejoins += n->health.rejoins();
-    if (auto* audit = n->server->auditor()) {
-      r.audit_violations += audit->violation_count();
-      for (auto& line : audit->report()) r.audit_report.push_back(std::move(line));
-    }
   }
-  if (spec.registry != nullptr) spec.registry->freeze_callbacks();
-  return r;
+  r.audit_violations = verdict.violations;
+  r.audit_report = std::move(verdict.report);
+  return std::move(r);
 }
 
 std::string FleetResult::digest() const {

@@ -4,12 +4,8 @@
 #include <string>
 #include <vector>
 
-#include "hw/devices.h"
-#include "metrics/histogram.h"
+#include "core/fan_out.h"
 #include "serving/batcher.h"
-#include "sim/channel.h"
-#include "sim/simulator.h"
-#include "sim/sync.h"
 
 namespace serve::core {
 
@@ -19,17 +15,8 @@ using metrics::Stage;
 using sim::seconds;
 using sim::Time;
 
-struct Clip {
-  Clip(sim::Simulator& sim, std::uint64_t id_, int frames)
-      : id(id_), remaining(frames), arrival(sim.now()), done(sim) {}
-  std::uint64_t id;
-  int remaining;
-  Time arrival;
-  metrics::StageTimes stages{};
-  trace::SpanContext ctx{};  ///< causal root (zero when untraced/unsampled)
-  sim::Event done;
-};
-
+/// A clip: fans out into one classification per sampled frame.
+using Clip = fan_out::Job;
 using ClipPtr = std::shared_ptr<Clip>;
 
 struct FrameJob {
@@ -37,29 +24,16 @@ struct FrameJob {
   int index = 0;
 };
 
-struct Pipeline {
+struct Pipeline : fan_out::Pipeline {
   Pipeline(sim::Simulator& sim_, const VideoPipelineSpec& spec_)
-      : sim(sim_),
+      : fan_out::Pipeline(sim_, spec_, "clip", nullptr),
         spec(spec_),
-        platform(sim_, {.calib = spec_.calib, .gpu_count = 1}),
         clips_in(sim_, std::numeric_limits<std::size_t>::max(), "clips"),
-        frame_batcher(sim_, {.dynamic = true, .max_batch = spec_.model.max_batch}),
-        sampler(spec_.trace_sampler) {}
+        frame_batcher(sim_, {.dynamic = true, .max_batch = spec_.model.max_batch}) {}
 
-  sim::Simulator& sim;
   const VideoPipelineSpec& spec;
-  hw::Platform platform;
   sim::Channel<ClipPtr> clips_in;
   serving::Batcher<FrameJob> frame_batcher;
-  trace::TraceSampler sampler;
-
-  bool measuring = false;
-  std::uint64_t clips_done = 0;
-  std::uint64_t frames_done = 0;
-  metrics::Histogram latency;
-  metrics::Breakdown breakdown;
-  std::uint64_t next_clip_id = 1;
-  bool stopping = false;
 
   /// Pixels that must pass through the decoder to extract the samples.
   [[nodiscard]] double decode_pixels() const {
@@ -71,46 +45,7 @@ struct Pipeline {
     // target) per sample.
     return per_frame * 2.0 * spec.clip.sampled_frames;
   }
-
-  /// Records a span under the clip's context (no-op without a tracer; the
-  /// tracer itself skips unsampled contexts).
-  void span(const Clip& clip, std::string name, Time begin, Time end, sim::SpanArgs args = {}) {
-    if (spec.tracer != nullptr && clip.ctx.valid()) {
-      spec.tracer->child_span(clip.ctx, "clip." + std::to_string(clip.id), std::move(name),
-                              begin, end, std::move(args));
-    }
-  }
-
-  void finalize(Clip& clip, Time batch_span) {
-    clip.stages[Stage::kInference] += sim::to_seconds(batch_span);
-    const Time lat = sim.now() - clip.arrival;
-    const double other = sim::to_seconds(lat) - clip.stages.total();
-    if (other > 0.0) clip.stages[Stage::kQueue] += other;
-    if (measuring) {
-      ++clips_done;
-      frames_done += static_cast<std::uint64_t>(spec.clip.sampled_frames);
-      latency.add(sim::to_seconds(lat));
-      breakdown.add(clip.stages);
-    }
-    if (spec.tracer != nullptr && clip.ctx.valid()) {
-      sim::SpanArgs args;
-      if (!spec.trace_label.empty()) args.emplace_back("run", spec.trace_label);
-      args.emplace_back("clip_id", std::to_string(clip.id));
-      spec.tracer->record(clip.ctx, "clip." + std::to_string(clip.id), "clip", clip.arrival,
-                          sim.now(), std::move(args));
-    }
-    clip.done.set();
-  }
 };
-
-sim::Process clip_client(Pipeline& p) {
-  while (!p.stopping) {
-    auto clip =
-        std::make_shared<Clip>(p.sim, p.next_clip_id++, p.spec.clip.sampled_frames);
-    p.clips_in.try_put(clip);
-    co_await clip->done.wait();
-  }
-}
 
 /// Stage 1: ingest + video decode, then emit one FrameJob per sampled frame.
 sim::Process decode_loop(Pipeline& p) {
@@ -121,16 +56,7 @@ sim::Process decode_loop(Pipeline& p) {
     auto got = co_await p.clips_in.get();
     if (!got) break;
     ClipPtr clip = std::move(*got);
-    // Originate the clip's causal trace; the sampling fate derives from the
-    // clip id alone, so same-seed runs trace the same clips.
-    if (p.spec.tracer != nullptr) {
-      clip->ctx = p.spec.tracer->begin_trace(p.sampler.sample(clip->id));
-      // Closed-loop clips queue between arrival and decode pickup; cover it
-      // so the wait does not surface as unattributed root self time.
-      if (p.sim.now() > clip->arrival) {
-        p.span(*clip, "queue", clip->arrival, p.sim.now(), {{"blame", "decode-pickup"}});
-      }
-    }
+    p.begin_trace(*clip, "decode-pickup");
 
     // Ingest the compressed clip on a host core.
     {
@@ -245,31 +171,13 @@ VideoPipelineResult run_video_pipeline(const VideoPipelineSpec& spec) {
   if (resolved.model.name.empty()) resolved.model = models::vit_base();
   resolved.clip.validate();
 
-  sim::Simulator sim;
-  Pipeline p{sim, resolved};
-  sim.spawn(decode_loop(p));
-  sim.spawn(classify_loop(p));
-  for (int i = 0; i < resolved.concurrency; ++i) sim.spawn(clip_client(p));
-
-  sim.run_until(resolved.warmup);
-  p.measuring = true;
-  const Time window_start = sim.now();
-  sim.run_until(resolved.warmup + resolved.measure);
-  const double window = sim::to_seconds(sim.now() - window_start);
-
-  VideoPipelineResult r;
-  r.clips = p.clips_done;
-  r.clips_per_s = window > 0 ? static_cast<double>(p.clips_done) / window : 0.0;
-  r.frames_per_s = window > 0 ? static_cast<double>(p.frames_done) / window : 0.0;
-  r.mean_latency_s = p.latency.mean();
-  r.p99_latency_s = p.latency.p99();
-  r.breakdown = p.breakdown;
-
-  p.stopping = true;
-  sim.run();
-  p.clips_in.close();
-  sim.run();
-  return r;
+  Run run{{}};
+  Pipeline p{run.sim(), resolved};
+  p.sim.spawn(decode_loop(p));
+  p.sim.spawn(classify_loop(p));
+  return fan_out::run_closed_loop<VideoPipelineResult>(
+      run, p, p.clips_in, resolved.concurrency,
+      [&resolved] { return resolved.clip.sampled_frames; }, resolved.warmup, resolved.measure);
 }
 
 }  // namespace serve::core

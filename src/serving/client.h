@@ -130,7 +130,7 @@ class ClosedLoopClients {
  public:
   struct Options {
     int concurrency = 1;
-    ImageSource image_source;
+    ImageSource image_source{};
     std::uint64_t seed = 1;
     sim::Time think_time = 0;  ///< optional per-client gap between requests
   };
@@ -185,8 +185,8 @@ class OpenLoopClients {
   using Interarrival = std::function<sim::Time(sim::Rng&)>;
 
   struct Options {
-    Interarrival interarrival;  ///< required
-    ImageSource image_source;   ///< required
+    Interarrival interarrival{};  ///< required
+    ImageSource image_source{};   ///< required
     std::uint64_t seed = 1;
   };
 

@@ -3,24 +3,22 @@
 
 #include <cstdint>
 
-#include "metrics/breakdown.h"
-#include "metrics/histogram.h"
 #include "metrics/stat_accumulator.h"
+#include "metrics/window.h"
 #include "serving/request.h"
 #include "sim/time.h"
 
 namespace serve::serving {
 
-/// Collects completed-request statistics inside a measurement window.
+/// Serving-specific counters on top of the shared measurement window.
 /// Warmup requests (completed before `begin()` is called) are not recorded.
 class ServerStats {
  public:
-  explicit ServerStats(sim::Simulator& sim) : sim_(sim), window_start_(sim.now()) {}
+  explicit ServerStats(sim::Simulator& sim) : sim_(sim) { window_.open(sim.now()); }
 
   /// Starts (or restarts) the measurement window, discarding prior samples.
   void begin() {
-    window_start_ = sim_.now();
-    completed_ = 0;
+    window_.open(sim_.now());
     dropped_ = 0;
     failed_ = 0;
     rejected_ = 0;
@@ -29,14 +27,10 @@ class ServerStats {
     broker_failovers_ = 0;
     cache_tensor_hits_ = 0;
     cache_image_hits_ = 0;
-    latency_.reset();
-    breakdown_.reset();
     batch_sizes_.reset();
-    measuring_ = true;
   }
 
   void record(const Request& req) {
-    if (!measuring_) return;
     if (req.dropped) {
       ++dropped_;
       return;
@@ -46,29 +40,19 @@ class ServerStats {
       if (req.fail_reason == FailReason::kBreakerOpen) ++rejected_;
       return;
     }
-    ++completed_;
+    window_.record(sim::to_seconds(req.latency()), req.stages);
     if (req.cache_hit == CacheLevel::kTensor) ++cache_tensor_hits_;
     if (req.cache_hit == CacheLevel::kImage) ++cache_image_hits_;
-    latency_.add(sim::to_seconds(req.latency()));
-    breakdown_.add(req.stages);
   }
 
   /// Resilience-event counters (always counted; windowed like records).
-  void record_degraded() {
-    if (measuring_) ++degraded_;
-  }
-  void record_breaker_open() {
-    if (measuring_) ++breaker_opens_;
-  }
-  void record_broker_failover() {
-    if (measuring_) ++broker_failovers_;
-  }
+  void record_degraded() { ++degraded_; }
+  void record_breaker_open() { ++breaker_opens_; }
+  void record_broker_failover() { ++broker_failovers_; }
 
-  void record_batch_size(int b) {
-    if (measuring_) batch_sizes_.add(static_cast<double>(b));
-  }
+  void record_batch_size(int b) { batch_sizes_.add(static_cast<double>(b)); }
 
-  [[nodiscard]] std::uint64_t completed() const noexcept { return completed_; }
+  [[nodiscard]] std::uint64_t completed() const noexcept { return window_.count(); }
   [[nodiscard]] std::uint64_t dropped() const noexcept { return dropped_; }
   [[nodiscard]] std::uint64_t failed() const noexcept { return failed_; }
   /// Failed specifically by the open circuit breaker (subset of failed()).
@@ -79,35 +63,31 @@ class ServerStats {
   [[nodiscard]] std::uint64_t cache_image_hits() const noexcept { return cache_image_hits_; }
   /// Fraction of completed requests satisfied from either cache level.
   [[nodiscard]] double cache_hit_rate() const noexcept {
-    return completed_ ? static_cast<double>(cache_tensor_hits_ + cache_image_hits_) /
-                            static_cast<double>(completed_)
-                      : 0.0;
+    return completed() ? static_cast<double>(cache_tensor_hits_ + cache_image_hits_) /
+                             static_cast<double>(completed())
+                       : 0.0;
   }
   [[nodiscard]] std::uint64_t breaker_opens() const noexcept { return breaker_opens_; }
   [[nodiscard]] std::uint64_t broker_failovers() const noexcept { return broker_failovers_; }
   /// Fraction of finished requests that were shed.
   [[nodiscard]] double drop_rate() const noexcept {
-    const auto total = completed_ + dropped_;
+    const auto total = completed() + dropped_;
     return total ? static_cast<double>(dropped_) / static_cast<double>(total) : 0.0;
   }
-  [[nodiscard]] double window_seconds() const noexcept {
-    return sim::to_seconds(sim_.now() - window_start_);
+  [[nodiscard]] double window_seconds() const noexcept { return window_.seconds(sim_.now()); }
+  [[nodiscard]] double throughput() const noexcept { return window_.throughput(sim_.now()); }
+  [[nodiscard]] const metrics::Histogram& latency() const noexcept { return window_.latency(); }
+  [[nodiscard]] const metrics::Breakdown& breakdown() const noexcept {
+    return window_.breakdown();
   }
-  [[nodiscard]] double throughput() const noexcept {
-    const double w = window_seconds();
-    return w > 0.0 ? static_cast<double>(completed_) / w : 0.0;
-  }
-  [[nodiscard]] const metrics::Histogram& latency() const noexcept { return latency_; }
-  [[nodiscard]] const metrics::Breakdown& breakdown() const noexcept { return breakdown_; }
+  [[nodiscard]] const metrics::Window& window() const noexcept { return window_; }
   [[nodiscard]] const metrics::StatAccumulator& batch_sizes() const noexcept {
     return batch_sizes_;
   }
 
  private:
   sim::Simulator& sim_;
-  sim::Time window_start_;
-  bool measuring_ = true;
-  std::uint64_t completed_ = 0;
+  metrics::Window window_;
   std::uint64_t dropped_ = 0;
   std::uint64_t failed_ = 0;
   std::uint64_t rejected_ = 0;
@@ -116,8 +96,6 @@ class ServerStats {
   std::uint64_t broker_failovers_ = 0;
   std::uint64_t cache_tensor_hits_ = 0;
   std::uint64_t cache_image_hits_ = 0;
-  metrics::Histogram latency_;
-  metrics::Breakdown breakdown_;
   metrics::StatAccumulator batch_sizes_;
 };
 

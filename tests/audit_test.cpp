@@ -323,6 +323,15 @@ TEST(ExperimentHarness, ParsesAuditAndTraceFlags) {
   const char* argv4[] = {"bench", "--trace-out"};
   EXPECT_THROW((void)core::parse_harness_options(2, argv4), std::invalid_argument);
 
+  const char* argv5[] = {"bench", "--trace-max-events", "4096"};
+  EXPECT_EQ(core::parse_harness_options(3, argv5).trace_max_events, 4096u);
+  // Digits only: a sign or leading space must not slip through std::stoull
+  // ("-1" would wrap to 2^64 - 1 and lift the event cap).
+  for (const char* bad : {"-1", " 7", "+3", "0", "", "12x", "99999999999999999999999"}) {
+    const char* argv6[] = {"bench", "--trace-max-events", bad};
+    EXPECT_THROW((void)core::parse_harness_options(3, argv6), std::invalid_argument) << bad;
+  }
+
   sim::TraceRecorder trace;
   core::ExperimentSpec spec;
   b.apply(spec, trace);

@@ -2,11 +2,18 @@
 // auto-tuner, arrival processes, and trace recording.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
+#include <functional>
+#include <initializer_list>
 #include <sstream>
 
 #include "core/autotuner.h"
-#include "core/fleet.h"
 #include "core/experiment.h"
+#include "core/face_pipeline.h"
+#include "core/fleet.h"
+#include "core/video_pipeline.h"
+#include "metrics/registry.h"
 #include "hw/tracing.h"
 #include "models/model_zoo.h"
 #include "sim/trace.h"
@@ -151,6 +158,126 @@ TEST(Fleet, RejectsEmptyFleet) {
   spec.gpus_per_node = {};
   EXPECT_THROW((void)run_fleet(spec), std::invalid_argument);
 }
+
+// --- one lifecycle for every runner -----------------------------------------
+
+/// What a lifecycle test reads back from one run.
+struct Outcome {
+  std::string digest;  ///< every reported number, printed exactly
+  double throughput = 0.0;
+};
+
+std::string exact(std::initializer_list<double> xs) {
+  std::string out;
+  char buf[32];
+  for (double x : xs) {
+    std::snprintf(buf, sizeof buf, "%.17g ", x);
+    out += buf;
+  }
+  return out;
+}
+
+struct RunnerCase {
+  const char* name;
+  std::function<Outcome(sim::Time measure, metrics::Registry* registry)> run;
+  /// Callback instrument that must still read back, frozen and positive,
+  /// after the runner has returned (nullptr: the runner takes no registry).
+  const char* frozen_instrument;
+};
+
+void PrintTo(const RunnerCase& c, std::ostream* os) { *os << c.name; }
+
+const RunnerCase kRunners[] = {
+    {"experiment",
+     [](sim::Time measure, metrics::Registry* registry) {
+       auto spec = small_spec();
+       spec.measure = measure;
+       spec.registry = registry;
+       const auto r = run_experiment(spec);
+       return Outcome{exact({r.throughput_rps, r.mean_latency_s, r.p50_latency_s,
+                             r.p99_latency_s, static_cast<double>(r.completed), r.mean_batch,
+                             r.breakdown.mean_total(), r.energy.gpu_joules}),
+                      r.throughput_rps};
+     },
+     "serving_in_flight_seconds_total"},
+    {"fleet",
+     [](sim::Time measure, metrics::Registry* registry) {
+       FleetSpec spec;
+       spec.server.model = models::tiny_vit();
+       spec.server.balancer.policy = BalancerPolicy::kPowerOfTwo;
+       spec.server.balancer.health.enabled = true;
+       spec.server.balancer.hedge.enabled = true;
+       spec.concurrency = 64;
+       spec.warmup = sim::seconds(0.5);
+       spec.measure = measure;
+       spec.registry = registry;
+       const auto r = run_fleet(spec);
+       return Outcome{r.digest(), r.throughput_rps};
+     },
+     "fleet_latency_seconds_total"},
+    {"face",
+     [](sim::Time measure, metrics::Registry*) {
+       FacePipelineSpec spec;
+       spec.broker = BrokerKind::kKafka;
+       spec.stochastic_faces = true;
+       spec.concurrency = 4;
+       spec.warmup = sim::seconds(0.5);
+       spec.measure = measure;
+       const auto r = run_face_pipeline(spec);
+       return Outcome{exact({r.frames_per_s, r.faces_per_s, r.mean_latency_s, r.p99_latency_s,
+                             static_cast<double>(r.frames), r.broker_share()}),
+                      r.frames_per_s};
+     },
+     nullptr},
+    {"video",
+     [](sim::Time measure, metrics::Registry*) {
+       VideoPipelineSpec spec;
+       spec.concurrency = 4;
+       spec.warmup = sim::seconds(0.5);
+       spec.measure = measure;
+       const auto r = run_video_pipeline(spec);
+       return Outcome{exact({r.clips_per_s, r.frames_per_s, r.mean_latency_s, r.p99_latency_s,
+                             static_cast<double>(r.clips), r.decode_share()}),
+                      r.clips_per_s};
+     },
+     nullptr},
+};
+
+class RunLifecycle : public ::testing::TestWithParam<RunnerCase> {};
+
+TEST_P(RunLifecycle, SameSeedRepeatsAreIdentical) {
+  const auto a = GetParam().run(sim::seconds(1.0), nullptr);
+  const auto b = GetParam().run(sim::seconds(1.0), nullptr);
+  EXPECT_GT(a.throughput, 0.0);
+  EXPECT_EQ(a.digest, b.digest);
+}
+
+TEST_P(RunLifecycle, EmptyWindowReportsZeroThroughput) {
+  const auto r = GetParam().run(0, nullptr);
+  EXPECT_EQ(r.throughput, 0.0);  // an empty window is 0, not 0/0 = NaN
+  EXPECT_EQ(r.digest.find("nan"), std::string::npos) << r.digest;
+}
+
+/// The runners that take a registry (the first two of kRunners).
+class RunLifecycleRegistry : public ::testing::TestWithParam<RunnerCase> {};
+
+TEST_P(RunLifecycleRegistry, ExportsAfterRunnerReturns) {
+  const RunnerCase& c = GetParam();
+  metrics::Registry registry;
+  (void)c.run(sim::seconds(1.0), &registry);
+  // The runner's world is gone; its callback instruments must have been
+  // frozen to plain values, so reading them is safe and meaningful.
+  const auto frozen = registry.find(c.frozen_instrument);
+  ASSERT_TRUE(frozen.has_value());
+  EXPECT_GT(frozen->value, 0.0);
+  for (const auto& ins : registry.snapshot()) EXPECT_TRUE(std::isfinite(ins.value)) << ins.name;
+}
+
+auto runner_name = [](const auto& info) { return std::string(info.param.name); };
+INSTANTIATE_TEST_SUITE_P(AllRunners, RunLifecycle, ::testing::ValuesIn(kRunners), runner_name);
+INSTANTIATE_TEST_SUITE_P(RegistryRunners, RunLifecycleRegistry,
+                         ::testing::ValuesIn(std::begin(kRunners), std::begin(kRunners) + 2),
+                         runner_name);
 
 TEST(Trace, RecordsAndExportsChromeJson) {
   sim::TraceRecorder trace;

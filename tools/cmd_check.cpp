@@ -134,7 +134,7 @@ int run_check(const Args& args) {
                  regressions, tolerance * 100.0);
     return 1;
   }
-  std::printf("bench_check: OK (tolerance %.0f%%)\n", tolerance * 100.0);
+  std::printf("check: OK (tolerance %.0f%%)\n", tolerance * 100.0);
   return 0;
 }
 

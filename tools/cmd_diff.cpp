@@ -91,7 +91,7 @@ int run_diff(const Args& args) {
   const RunView base = digest(args.paths[0]);
   const RunView cand = digest(args.paths[1]);
 
-  std::printf("diff_report: base=%s candidate=%s tolerance=%.1f%%\n", args.paths[0].c_str(),
+  std::printf("diff: base=%s candidate=%s tolerance=%.1f%%\n", args.paths[0].c_str(),
               args.paths[1].c_str(), 100.0 * tolerance);
 
   std::vector<std::string> regressions;
