@@ -21,6 +21,10 @@ struct Point {
   double drop_pct;
 };
 
+core::HarnessOptions g_harness;
+sim::TraceRecorder g_trace;
+std::uint64_t g_violations = 0;
+
 Point run(sim::Time deadline, double rate) {
   ExperimentSpec spec;
   spec.server.model = models::vit_base();
@@ -28,30 +32,21 @@ Point run(sim::Time deadline, double rate) {
   spec.server.shed_deadline = deadline;
   spec.warmup = sim::seconds(3.0);
   spec.measure = sim::seconds(12.0);
-  sim::Simulator sim;
-  hw::Platform platform{sim, {.calib = spec.calib}};
-  serving::InferenceServer server{platform, spec.server};
-  serving::OpenLoopClients clients{server,
-                                   {.interarrival = workload::poisson_arrivals(rate),
-                                    .image_source = serving::fixed_image(spec.image),
-                                    .seed = 11}};
-  clients.start();
-  sim.run_until(spec.warmup);
-  server.stats().begin();
-  sim.run_until(spec.warmup + spec.measure);
-  Point p{server.stats().throughput(), server.stats().latency().p99() * 1e3,
-          100.0 * server.stats().drop_rate()};
-  clients.stop();
-  sim.run();
-  server.shutdown();
-  return p;
+  spec.seed = 11;
+  g_harness.apply(spec, g_trace);
+  const auto r = core::run_open_loop(spec, workload::poisson_arrivals(rate));
+  g_violations += core::report_audit(
+      r, "shed_deadline " + std::to_string(sim::to_seconds(deadline) * 1e3) + " ms");
+  const auto total = r.completed + r.dropped;
+  return {r.throughput_rps, r.p99_latency_s * 1e3,
+          100.0 * (total ? static_cast<double>(r.dropped) / static_cast<double>(total) : 0.0)};
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   bench::Reporter rep("Ablation", "Load shedding under overload (ViT @ ~120% offered load)");
-  if (!rep.parse_cli(argc, argv)) return 2;
+  if (!rep.parse_cli(argc, argv, &g_harness)) return 2;
 
   const double overload_rate = 2200.0;  // capacity ~1840 img/s
   metrics::Table table({"shed_deadline_ms", "goodput_img_s", "p99_ms", "dropped_%"});
@@ -80,5 +75,5 @@ int main(int argc, char** argv) {
                     loose.drop_pct < tight.drop_pct && loose.p99_ms > tight.p99_ms,
                     "see table"});
   rep.checks(std::move(checks));
-  return rep.finish();
+  return rep.finish(core::finish_harness(g_harness, g_trace, g_violations));
 }

@@ -1,7 +1,6 @@
 #include "serving/audit.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <sstream>
 
@@ -10,8 +9,6 @@
 namespace serve::serving {
 
 namespace {
-
-constexpr std::size_t kMaxChargesTracked = 256;  ///< per-request gap-analysis cap
 
 std::string format_time(sim::Time t) {
   std::ostringstream os;
@@ -23,33 +20,33 @@ std::string format_time(sim::Time t) {
 
 void RequestAuditor::on_submit(Request& req) {
   ++submitted_;
-  if (done_ids_.count(req.id) != 0 || inflight_.count(req.id) != 0) {
+  AuditState& st = req.audit;
+  if (st.phase != AuditState::Phase::kUnseen) {
     add_violation(req.id, "duplicate-submit",
-                  "request id submitted more than once (arrival " + format_time(req.arrival) + ")");
+                  "request submitted more than once (arrival " + format_time(req.arrival) + ")");
   }
-  InFlight& fl = inflight_[req.id];
-  fl.arrival = req.arrival;
+  st = AuditState{.phase = AuditState::Phase::kInFlight, .covered_to = req.arrival};
   // Sampling fate: adopt the incoming context when the client pre-filled one
   // (retry chaining / cascade hops keep the original trace's decision so a
   // trace is never truncated mid-tree); otherwise the deterministic sampler
-  // decides from the request id alone, independent of scheduling.
+  // decides from the request id alone, independent of scheduling. The
+  // assigned context is written back so downstream spans attach to it.
   bool sampled = false;
   if (causal_ != nullptr && req.trace_ctx.valid()) {
     sampled = req.trace_ctx.sampled;
-    fl.ctx = causal_->child_of(req.trace_ctx);
+    req.trace_ctx = causal_->child_of(req.trace_ctx);
   } else {
     sampled = (trace_ != nullptr || causal_ != nullptr) && sampler_.sample(req.id);
-    if (causal_ != nullptr) fl.ctx = causal_->begin_trace(sampled);
+    if (causal_ != nullptr) req.trace_ctx = causal_->begin_trace(sampled);
   }
-  if (causal_ != nullptr) req.trace_ctx = fl.ctx;  // downstream spans attach here
-  fl.traced = sampled && trace_ != nullptr;
+  st.traced = sampled && trace_ != nullptr;
   req.observer = this;
 }
 
-void RequestAuditor::on_charge(const Request& req, metrics::Stage s, sim::Time end, sim::Time dt,
+void RequestAuditor::on_charge(Request& req, metrics::Stage s, sim::Time end, sim::Time dt,
                                std::string_view blame) noexcept {
-  auto it = inflight_.find(req.id);
-  if (it == inflight_.end()) {
+  AuditState& st = req.audit;
+  if (st.phase != AuditState::Phase::kInFlight) {
     add_violation(req.id, "charge-after-completion",
                   std::string(metrics::stage_name(s)) + " charged at " + format_time(end) +
                       " on a request no longer in flight");
@@ -61,14 +58,18 @@ void RequestAuditor::on_charge(const Request& req, metrics::Stage s, sim::Time e
                       format_time(end));
     return;
   }
-  InFlight& fl = it->second;
   const sim::Time begin = std::max<sim::Time>(end - dt, 0);
-  if (fl.charges.size() < kMaxChargesTracked) fl.charges.push_back(Charge{s, begin, end});
-  if (fl.traced && dt > 0) {
+  st.charged = true;
+  if (begin > st.covered_to && begin - st.covered_to > st.max_gap) {
+    st.max_gap = begin - st.covered_to;
+    st.gap_stage = s;
+  }
+  st.covered_to = std::max(st.covered_to, end);
+  if (st.traced && dt > 0) {
     sim::SpanArgs args;
     if (!blame.empty()) args.emplace_back("blame", std::string(blame));
     if (causal_ != nullptr) {
-      causal_->child_span(fl.ctx, "req." + std::to_string(req.id),
+      causal_->child_span(req.trace_ctx, "req." + std::to_string(req.id),
                           std::string(metrics::stage_name(s)), begin, end, std::move(args));
     } else {
       trace_->span("req." + std::to_string(req.id), std::string(metrics::stage_name(s)), begin,
@@ -77,16 +78,16 @@ void RequestAuditor::on_charge(const Request& req, metrics::Stage s, sim::Time e
   }
 }
 
-void RequestAuditor::on_complete(const Request& req) {
-  auto it = inflight_.find(req.id);
-  if (it == inflight_.end()) {
-    add_violation(req.id,
-                  done_ids_.count(req.id) != 0 ? "double-completion" : "untracked-completion",
-                  done_ids_.count(req.id) != 0
-                      ? "request completed twice (done must be set exactly once)"
-                      : "completion for a request never submitted");
+void RequestAuditor::on_complete(Request& req) {
+  AuditState& st = req.audit;
+  if (st.phase != AuditState::Phase::kInFlight) {
+    const bool twice = st.phase == AuditState::Phase::kDone;
+    add_violation(req.id, twice ? "double-completion" : "untracked-completion",
+                  twice ? "request completed twice (done must be set exactly once)"
+                        : "completion for a request never submitted");
     return;
   }
+  st.phase = AuditState::Phase::kDone;
   if (req.dropped) {
     ++dropped_;
   } else if (req.failed) {
@@ -96,8 +97,7 @@ void RequestAuditor::on_complete(const Request& req) {
   }
   breakdown_.add(req.stages);
   last_terminal_ = std::max(last_terminal_, std::max(req.completed, req.arrival));
-  InFlight& fl = it->second;
-  if (fl.traced && causal_ != nullptr && req.completed >= req.arrival) {
+  if (st.traced && causal_ != nullptr && req.completed >= req.arrival) {
     sim::SpanArgs args;
     if (!opts_.run_label.empty()) args.emplace_back("run", opts_.run_label);
     args.emplace_back("request_id", std::to_string(req.id));
@@ -106,12 +106,10 @@ void RequestAuditor::on_complete(const Request& req) {
                                     ? "failed-" + std::string(fail_reason_name(req.fail_reason))
                                     : std::string("ok"));
     if (req.attempt > 1) args.emplace_back("attempt", std::to_string(req.attempt));
-    causal_->record(fl.ctx, "req." + std::to_string(req.id), "request", req.arrival,
+    causal_->record(req.trace_ctx, "req." + std::to_string(req.id), "request", req.arrival,
                     req.completed, std::move(args));
   }
-  check_request(req, fl);
-  done_ids_.insert(req.id);
-  inflight_.erase(it);
+  check_request(req);
 }
 
 void RequestAuditor::on_lost_handoff(const Request& req, std::string_view where) {
@@ -128,7 +126,7 @@ void RequestAuditor::on_breaker_transition(std::string_view to, sim::Time t) {
   if (trace_ != nullptr) trace_->instant("policies", "breaker -> " + std::string(to), t);
 }
 
-void RequestAuditor::check_request(const Request& req, const InFlight& fl) {
+void RequestAuditor::check_request(const Request& req) {
   // (4) Monotonicity: arrival <= enqueue_time <= completed.
   if (req.completed < req.arrival) {
     add_violation(req.id, "monotonicity",
@@ -150,46 +148,30 @@ void RequestAuditor::check_request(const Request& req, const InFlight& fl) {
   if (std::abs(delta) > tol) {
     std::ostringstream os;
     os << "sum(stages) " << sum_s << "s vs latency " << latency_s << "s (delta " << delta
-       << "s); " << drift_label(req, fl, delta);
+       << "s); " << drift_label(req, delta);
     add_violation(req.id, "stage-conservation", os.str());
   }
 }
 
-std::string RequestAuditor::drift_label(const Request& req, const InFlight& fl, double delta_s) {
+std::string RequestAuditor::drift_label(const Request& req, double delta_s) {
   if (delta_s > 0) {
     // Wall-clock time nobody charged: the stage charged right after the
     // largest uncovered gap failed to account for its wait.
-    if (fl.charges.empty()) return "no stage was ever charged";
-    if (fl.charges.size() >= kMaxChargesTracked) {
-      return "drifting stage unknown (charge log capped)";
-    }
-    std::vector<Charge> sorted = fl.charges;
-    std::sort(sorted.begin(), sorted.end(),
-              [](const Charge& a, const Charge& b) { return a.begin < b.begin; });
-    sim::Time cursor = req.arrival;
-    sim::Time best_gap = 0;
-    std::string_view culprit = "completion (nothing charged until done)";
-    for (const Charge& c : sorted) {
-      if (c.begin > cursor) {
-        const sim::Time gap = c.begin - cursor;
-        if (gap > best_gap) {
-          best_gap = gap;
-          culprit = metrics::stage_name(c.stage);
-        }
-      }
-      cursor = std::max(cursor, c.end);
-    }
-    if (req.completed > cursor && req.completed - cursor > best_gap) {
-      best_gap = req.completed - cursor;
-      culprit = "completion (nothing charged until done)";
+    const AuditState& st = req.audit;
+    if (!st.charged) return "no stage was ever charged";
+    constexpr std::string_view kCompletion = "completion (nothing charged until done)";
+    sim::Time best_gap = st.max_gap;
+    std::string_view culprit = best_gap > 0 ? metrics::stage_name(st.gap_stage) : kCompletion;
+    if (req.completed > st.covered_to && req.completed - st.covered_to > best_gap) {
+      best_gap = req.completed - st.covered_to;
+      culprit = kCompletion;
     }
     return "largest uncovered gap " + std::to_string(sim::to_seconds(best_gap)) +
            "s precedes stage '" + std::string(culprit) + "'";
   }
   // Over-accounting: some stage charged time twice. Attribute by the
-  // accumulated per-stage durations (not the recorded intervals, which are
-  // clamped to the sim timeline and capped) — a hint, not proof: sequential
-  // waits charged at the same instant legitimately overlap.
+  // accumulated per-stage durations — a hint, not proof: sequential waits
+  // charged at the same instant legitimately overlap.
   std::size_t max_i = 0;
   for (std::size_t i = 1; i < metrics::kStageCount; ++i) {
     if (req.stages[static_cast<metrics::Stage>(i)] >
@@ -211,16 +193,15 @@ void RequestAuditor::check_zero(std::string_view what, std::uint64_t value) {
 void RequestAuditor::finalize() {
   if (finalized_) return;
   finalized_ = true;
-  for (const auto& [id, fl] : inflight_) {
-    add_violation(id, "leaked-request",
-                  "submitted at " + format_time(fl.arrival) + " but never completed or dropped");
-  }
-  if (submitted_ != completed_ + dropped_ + failed_) {
+  if (const std::uint64_t leaked = in_flight(); leaked > 0) {
+    add_violation(0, "leaked-request",
+                  std::to_string(leaked) +
+                      " request(s) submitted but never completed, dropped or failed");
     add_violation(0, "request-conservation",
                   "submitted " + std::to_string(submitted_) + " != completed " +
                       std::to_string(completed_) + " + dropped " + std::to_string(dropped_) +
                       " + failed " + std::to_string(failed_) + " (leaked " +
-                      std::to_string(inflight_.size()) + ")");
+                      std::to_string(leaked) + ")");
   }
   // Publish the full-population per-stage means into the trace itself, so
   // `servescope trace` can cross-check the sampled critical paths against

@@ -13,6 +13,14 @@
 //     lists must be empty after drain (fed by InferenceServer::shutdown);
 //  4. monotonicity — arrival <= enqueue_time <= completed.
 //
+// Per-request state lives inline on the request (serving::AuditState): its
+// lifecycle phase, whether it is traced, and a running covered-to cursor
+// with the largest uncovered gap seen so far. The auditor itself holds no
+// per-request state, so an untraced audited request allocates nothing and
+// memory scales with the requests in flight, not with the requests ever
+// submitted. Leaks are detected by count: in_flight() = submitted -
+// (completed + dropped + failed), reported once at finalize().
+//
 // The auditor also doubles as the per-request span source for
 // sim::TraceRecorder: each stage charge of a *sampled* request becomes a
 // named span on a "req.<id>" track, so latency breakdowns are visually
@@ -26,16 +34,15 @@
 // `servescope trace`'s critical-path extraction.
 //
 // Enable with ServerConfig::audit (or --audit / --trace-out in the bench
-// harness). One auditor belongs to one server; when several servers share a
-// platform, each audits only its own requests, but staging-memory hygiene
-// is meaningful only if the sharing servers drain together.
+// harness). One auditor belongs to one server, and a request is submitted
+// to at most one auditor; when several servers share a platform, each
+// audits only its own requests, but staging-memory hygiene is meaningful
+// only if the sharing servers drain together.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "metrics/breakdown.h"
@@ -43,7 +50,6 @@
 #include "sim/time.h"
 #include "sim/trace.h"
 #include "trace/causal.h"
-#include "trace/span_context.h"
 
 namespace serve::serving {
 
@@ -87,19 +93,21 @@ class RequestAuditor final : public ChargeObserver {
 
   // --- lifecycle hooks (called by InferenceServer) ---------------------------
 
-  /// Registers the request, decides/adopts its sampling fate (writing the
-  /// assigned SpanContext back into `req.trace_ctx`), and installs this
-  /// auditor as its charge observer.
+  /// Registers the request (resetting `req.audit`), decides/adopts its
+  /// sampling fate (writing the assigned SpanContext back into
+  /// `req.trace_ctx`), and installs this auditor as its charge observer.
   void on_submit(Request& req);
 
-  /// ChargeObserver: records the charged interval for conservation analysis
-  /// and emits the corresponding trace span (with blame when given).
-  void on_charge(const Request& req, metrics::Stage s, sim::Time end, sim::Time dt,
+  /// ChargeObserver: advances the request's covered-to cursor for the
+  /// drift label and emits the corresponding trace span (with blame when
+  /// given).
+  void on_charge(Request& req, metrics::Stage s, sim::Time end, sim::Time dt,
                  std::string_view blame) noexcept override;
 
   /// Verifies per-request invariants (conservation, monotonicity, single
-  /// completion). Call after `req.completed` is set and `done` signalled.
-  void on_complete(const Request& req);
+  /// completion) and marks the request done. Call after `req.completed` is
+  /// set.
+  void on_complete(Request& req);
 
   /// A request failed a scheduler-queue hand-off (it would have been lost
   /// silently before the drop-accounting fix). Always a violation.
@@ -118,7 +126,8 @@ class RequestAuditor final : public ChargeObserver {
   /// Resource-hygiene check: `value` must be zero after drain.
   void check_zero(std::string_view what, std::uint64_t value);
 
-  /// Request-count conservation + leak detection. Idempotent; further
+  /// Request-count conservation + leak detection (one "leaked-request"
+  /// violation carrying the in-flight count). Idempotent; further
   /// terminal checks are pointless after this. With a trace attached, also
   /// emits an "audit.breakdown" metadata instant (per-stage mean seconds
   /// over every terminal request) that `servescope trace` cross-checks against
@@ -133,7 +142,9 @@ class RequestAuditor final : public ChargeObserver {
   [[nodiscard]] std::uint64_t completed() const noexcept { return completed_; }
   [[nodiscard]] std::uint64_t dropped() const noexcept { return dropped_; }
   [[nodiscard]] std::uint64_t failed() const noexcept { return failed_; }
-  [[nodiscard]] std::uint64_t in_flight() const noexcept { return inflight_.size(); }
+  [[nodiscard]] std::uint64_t in_flight() const noexcept {
+    return submitted_ - (completed_ + dropped_ + failed_);
+  }
 
   [[nodiscard]] bool clean() const noexcept { return violation_count_ == 0; }
   [[nodiscard]] std::uint64_t violation_count() const noexcept { return violation_count_; }
@@ -155,27 +166,18 @@ class RequestAuditor final : public ChargeObserver {
   [[nodiscard]] std::vector<std::string> report() const;
 
  private:
-  struct Charge {
-    metrics::Stage stage;
-    sim::Time begin;
-    sim::Time end;
-  };
-  struct InFlight {
-    sim::Time arrival = 0;
-    bool traced = false;
-    trace::SpanContext ctx{};  ///< causal identity (zero without a tracer)
-    std::vector<Charge> charges;
-  };
-
   void add_violation(std::uint64_t id, std::string check, std::string detail);
-  void check_request(const Request& req, const InFlight& fl);
+  void check_request(const Request& req);
 
   /// Names the stage most likely responsible for a conservation mismatch:
   /// leaked time (sum < latency) points at the charge following the largest
-  /// uncovered gap; double-charged time points at the largest overlap. The
-  /// label is diagnostic only — the mismatch itself is computed exactly.
-  [[nodiscard]] static std::string drift_label(const Request& req, const InFlight& fl,
-                                               double delta_s);
+  /// uncovered gap; double-charged time points at the largest per-stage
+  /// total. The gap comes from the running covered-to cursor, so a charge
+  /// that begins before the cursor (out of begin order) closes no gap: the
+  /// label names the in-order charge that opened the gap. The server
+  /// charges in begin order, where this equals a sorted sweep. The label is
+  /// diagnostic only — the mismatch itself is computed exactly.
+  [[nodiscard]] static std::string drift_label(const Request& req, double delta_s);
 
   Options opts_;
   sim::TraceRecorder* trace_ = nullptr;
@@ -188,8 +190,6 @@ class RequestAuditor final : public ChargeObserver {
   std::uint64_t dropped_ = 0;
   std::uint64_t failed_ = 0;
   bool finalized_ = false;
-  std::unordered_map<std::uint64_t, InFlight> inflight_;
-  std::unordered_set<std::uint64_t> done_ids_;
   std::vector<Violation> violations_;
   std::uint64_t violation_count_ = 0;
 };

@@ -44,13 +44,30 @@ enum class FailReason : std::uint8_t {
 /// the charged duration, so the charged interval is [end - dt, end].
 /// `blame` names what a *wait* charge was waiting on (batch formation, an
 /// eviction reload, a fault hold, the open breaker); empty for work charges.
+/// The observer may update the request's inline `audit` state.
 class ChargeObserver {
  public:
-  virtual void on_charge(const Request& req, metrics::Stage s, sim::Time end, sim::Time dt,
+  virtual void on_charge(Request& req, metrics::Stage s, sim::Time end, sim::Time dt,
                          std::string_view blame) noexcept = 0;
 
  protected:
   ~ChargeObserver() = default;
+};
+
+/// Lifecycle-auditor state, kept inline on the request so an audited
+/// request costs no heap allocation and the auditor's memory scales with
+/// the requests that exist, not with every request ever submitted. Written
+/// only by serving::RequestAuditor; `covered_to` and the gap fields track
+/// the charged intervals as they arrive, which is all the stage-drift label
+/// needs.
+struct AuditState {
+  enum class Phase : std::uint8_t { kUnseen, kInFlight, kDone };
+  Phase phase = Phase::kUnseen;
+  bool traced = false;   ///< stage charges become trace spans
+  bool charged = false;  ///< at least one stage charge recorded
+  metrics::Stage gap_stage = metrics::Stage::kIngest;  ///< stage charged after `max_gap`
+  sim::Time covered_to = 0;  ///< largest charge end so far (arrival at submit)
+  sim::Time max_gap = 0;     ///< largest uncovered interval before a charge
 };
 
 /// One in-flight inference request. Created by a client, threaded through
@@ -89,6 +106,7 @@ struct Request {
   FailReason fail_reason = FailReason::kNone;
   int attempt = 1;                         ///< 1-based client retry attempt
   ChargeObserver* observer = nullptr;      ///< optional audit/trace hook
+  AuditState audit{};                      ///< owned by the observing auditor
   /// Causal trace identity. Zero (no trace) unless the auditor originates a
   /// trace at submit, or the client pre-fills it to chain a retry attempt
   /// into the previous attempt's trace.

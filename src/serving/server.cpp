@@ -818,56 +818,37 @@ sim::Process InferenceServer::inference_loop(std::size_t g) {
   }
 }
 
-void InferenceServer::fail_request(std::size_t g, RequestPtr req, FailReason reason) {
-  if (req->staged != 0) {
-    platform_.gpu(g).stager().release(req->staged);
-    req->staged = 0;
+void InferenceServer::release_early(std::size_t g, Request& req, std::string_view blame) {
+  if (req.staged != 0) {
+    platform_.gpu(g).stager().release(req.staged);
+    req.staged = 0;
   }
-  // Like drop_request: charge the uncharged residue since the last queue
-  // entry so failed requests conserve stage time too.
+  // The time since the last queue entry was never charged (drops and
+  // failures happen before dispatch accounting); charge it so these
+  // requests conserve stage time like completed ones.
   const Time now = platform_.sim().now();
-  if (req->enqueue_time >= req->arrival && now > req->enqueue_time) {
-    req->charge(Stage::kQueue, now - req->enqueue_time, fail_reason_name(reason));
+  if (req.enqueue_time >= req.arrival && now > req.enqueue_time) {
+    req.charge(Stage::kQueue, now - req.enqueue_time, blame);
   }
+}
+
+void InferenceServer::fail_request(std::size_t g, RequestPtr req, FailReason reason) {
+  release_early(g, *req, fail_reason_name(reason));
   req->failed = true;
   req->fail_reason = reason;
-  req->completed = now;
-  ++finished_;
-  inflight_integral_.add(now, -1.0);
-  stats_.record(*req);
-  tele_.failed.inc();
   if (reason == FailReason::kBreakerOpen) tele_.rejected.inc();
-  record_terminal(*req);
   // Breaker rejections and post-shutdown submissions must not feed the error
   // EWMA: the breaker would hold itself open on its own rejections.
   if (reason != FailReason::kBreakerOpen && reason != FailReason::kShutdown) {
     record_outcome(false);
   }
-  if (auditor_) auditor_->on_complete(*req);
-  req->done.set();
+  retire(*req, tele_.failed);
 }
 
 void InferenceServer::drop_request(std::size_t g, RequestPtr req, std::string_view blame) {
-  if (req->staged != 0) {
-    platform_.gpu(g).stager().release(req->staged);
-    req->staged = 0;
-  }
-  // The time since the last queue entry was never charged (drops happen
-  // before dispatch accounting); charge it so dropped requests conserve
-  // stage time like completed ones.
-  const Time now = platform_.sim().now();
-  if (req->enqueue_time >= req->arrival && now > req->enqueue_time) {
-    req->charge(Stage::kQueue, now - req->enqueue_time, blame);
-  }
+  release_early(g, *req, blame);
   req->dropped = true;
-  req->completed = now;
-  ++finished_;
-  inflight_integral_.add(now, -1.0);
-  stats_.record(*req);
-  tele_.dropped.inc();
-  record_terminal(*req);
-  if (auditor_) auditor_->on_complete(*req);
-  req->done.set();
+  retire(*req, tele_.dropped);
 }
 
 sim::Process InferenceServer::finish_request(RequestPtr req) {
@@ -916,15 +897,20 @@ sim::Process InferenceServer::finish_request(RequestPtr req) {
     if (sim.now() > p0) req->charge(Stage::kPostprocess, sim.now() - p0, "broker-publish");
   }
 
-  req->completed = sim.now();
-  ++finished_;
-  inflight_integral_.add(sim.now(), -1.0);
-  stats_.record(*req);
-  tele_.completed.inc();
-  record_terminal(*req);
   record_outcome(true);
-  if (auditor_) auditor_->on_complete(*req);
-  req->done.set();
+  retire(*req, tele_.completed);
+}
+
+void InferenceServer::retire(Request& req, metrics::Counter& outcome) {
+  const Time now = platform_.sim().now();
+  req.completed = now;
+  ++finished_;
+  inflight_integral_.add(now, -1.0);
+  stats_.record(req);
+  outcome.inc();
+  record_terminal(req);
+  if (auditor_) auditor_->on_complete(req);
+  req.done.set();
 }
 
 }  // namespace serve::serving

@@ -107,6 +107,16 @@ class InferenceServer {
   /// records + signals completion with `failed = true`.
   void fail_request(std::size_t gpu, RequestPtr req, FailReason reason);
 
+  /// Fail/drop prologue: releases staged memory and charges the queue time
+  /// since the last queue entry (blamed on `blame`).
+  void release_early(std::size_t gpu, Request& req, std::string_view blame);
+
+  /// The one terminal tail of finish/fail/drop: stamps `completed`, removes
+  /// the request from the in-flight accounting, records it in the stats and
+  /// telemetry (bumping `outcome`), hands it to the auditor, and signals
+  /// `done`. Callers feed the breaker (record_outcome) first.
+  void retire(Request& req, metrics::Counter& outcome);
+
   // Pipeline fragments shared by the paths above (implemented in server.cpp).
   void enqueue_inference(std::size_t g, RequestPtr req);
 
@@ -159,7 +169,7 @@ class InferenceServer {
     metrics::Counter latency_sum;
   };
   void init_telemetry();
-  /// Terminal accounting shared by finish/fail/drop: latency histogram and
+  /// Terminal telemetry (part of retire()): latency histogram and
   /// cumulative per-stage seconds.
   void record_terminal(const Request& req);
   void note_breaker(BreakerState to);

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <sstream>
 #include <string>
 
@@ -21,9 +22,14 @@ namespace {
 using metrics::Stage;
 using serving::RequestAuditor;
 
+std::size_t count_check(const RequestAuditor& a, const std::string& check) {
+  return static_cast<std::size_t>(
+      std::count_if(a.violations().begin(), a.violations().end(),
+                    [&](const RequestAuditor::Violation& v) { return v.check == check; }));
+}
+
 bool has_check(const RequestAuditor& a, const std::string& check) {
-  return std::any_of(a.violations().begin(), a.violations().end(),
-                     [&](const RequestAuditor::Violation& v) { return v.check == check; });
+  return count_check(a, check) > 0;
 }
 
 // --- end-to-end: healthy servers audit clean ---------------------------------
@@ -238,6 +244,119 @@ TEST(RequestAuditor, FinalizeIsIdempotent) {
   const auto count = audit.violation_count();
   audit.finalize();  // a second shutdown must not double-report
   EXPECT_EQ(audit.violation_count(), count);
+}
+
+// Lifecycle-misuse checks without a dedicated test above, each seeded by the
+// smallest misuse that triggers it (with the tests above, every check name
+// the auditor emits is covered).
+struct SeededViolation {
+  std::string check;
+  std::function<void(sim::Simulator&, RequestAuditor&)> seed;
+};
+
+void PrintTo(const SeededViolation& v, std::ostream* os) { *os << v.check; }
+
+class AuditCheckNames : public ::testing::TestWithParam<SeededViolation> {};
+
+TEST_P(AuditCheckNames, SeededMisuseIsFlagged) {
+  sim::Simulator sim;
+  RequestAuditor audit;
+  GetParam().seed(sim, audit);
+  EXPECT_TRUE(has_check(audit, GetParam().check))
+      << (audit.report().empty() ? "clean" : audit.report().front());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    LifecycleMisuse, AuditCheckNames,
+    ::testing::Values(
+        SeededViolation{"duplicate-submit",
+                        [](sim::Simulator& sim, RequestAuditor& a) {
+                          serving::Request req{sim, 1, hw::kMediumImage};
+                          a.on_submit(req);
+                          a.on_submit(req);  // the same request submitted twice
+                        }},
+        SeededViolation{"untracked-completion",
+                        [](sim::Simulator& sim, RequestAuditor& a) {
+                          serving::Request req{sim, 1, hw::kMediumImage};
+                          req.completed = 0;
+                          a.on_complete(req);  // never submitted
+                        }},
+        SeededViolation{"negative-charge",
+                        [](sim::Simulator& sim, RequestAuditor& a) {
+                          serving::Request req{sim, 1, hw::kMediumImage};
+                          a.on_submit(req);
+                          req.charge(Stage::kQueue, -sim::seconds(0.5));
+                        }}),
+    [](const ::testing::TestParamInfo<SeededViolation>& p) {
+      std::string name = p.param.check;
+      std::replace(name.begin(), name.end(), '-', '_');
+      return name;
+    });
+
+TEST(RequestAuditor, LeaksAreOneCountedViolation) {
+  sim::Simulator sim;
+  RequestAuditor audit;
+  serving::Request a{sim, 1, hw::kMediumImage};
+  serving::Request b{sim, 2, hw::kMediumImage};
+  audit.on_submit(a);
+  audit.on_submit(b);
+  EXPECT_EQ(audit.in_flight(), 2u);
+  audit.finalize();
+  ASSERT_EQ(count_check(audit, "leaked-request"), 1u);
+  const auto& v = audit.violations().front();
+  EXPECT_EQ(v.check, "leaked-request");
+  EXPECT_EQ(v.request_id, 0u);
+  EXPECT_EQ(v.detail.rfind("2 request(s)", 0), 0u) << v.detail;
+  EXPECT_EQ(count_check(audit, "request-conservation"), 1u);
+}
+
+TEST(RequestAuditor, GapLabelSurvivesLongChargeLogs) {
+  // 300 one-millisecond queue charges tile the request, except for one 50 ms
+  // hole right before the 151st charge (an inference charge). The label
+  // must name that stage no matter how many charges the request carries.
+  sim::Simulator sim;
+  RequestAuditor audit;
+  serving::Request req{sim, 1, hw::kMediumImage};
+  audit.on_submit(req);
+  for (int i = 0; i < 300; ++i) {
+    const double begin_ms = i + (i >= 150 ? 50.0 : 0.0);
+    const Stage s = i == 150 ? Stage::kInference : Stage::kQueue;
+    sim.schedule_at(sim::milliseconds(begin_ms + 1.0),
+                    [&req, s] { req.charge(s, sim::milliseconds(1.0)); });
+  }
+  sim.run();
+  req.completed = sim.now();
+  ASSERT_EQ(req.completed, sim::milliseconds(350.0));
+  audit.on_complete(req);
+  ASSERT_EQ(count_check(audit, "stage-conservation"), 1u);
+  const std::string& detail = audit.violations().front().detail;
+  EXPECT_NE(detail.find("largest uncovered gap 0.050000s precedes stage 'inference'"),
+            std::string::npos)
+      << detail;
+}
+
+TEST(RequestAuditor, OutOfOrderChargeClosesNoGap) {
+  // Pinned label for charges that arrive out of begin order: [10 s, 11 s]
+  // inference is charged first, then [8 s, 11 s] queue. The running
+  // covered-to cursor sees the 10 s hole before inference; the late queue
+  // charge begins behind the cursor and closes no gap, so the label names
+  // inference (a sorted sweep would have named queue with an 8 s gap).
+  sim::Simulator sim;
+  RequestAuditor audit;
+  serving::Request req{sim, 1, hw::kMediumImage};
+  audit.on_submit(req);
+  sim.schedule_at(sim::seconds(11.0), [&req] {
+    req.charge(Stage::kInference, sim::seconds(1.0));
+    req.charge(Stage::kQueue, sim::seconds(3.0));
+  });
+  sim.run();
+  req.completed = sim.now();
+  audit.on_complete(req);
+  ASSERT_EQ(count_check(audit, "stage-conservation"), 1u);
+  const std::string& detail = audit.violations().front().detail;
+  EXPECT_NE(detail.find("largest uncovered gap 10.000000s precedes stage 'inference'"),
+            std::string::npos)
+      << detail;
 }
 
 // --- per-request trace spans -------------------------------------------------
