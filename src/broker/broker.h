@@ -82,9 +82,12 @@ class SimBroker {
         topic_(sim, std::numeric_limits<std::size_t>::max(), profile_.name + ".topic") {
     if (registry != nullptr) {
       const metrics::Labels labels{{"broker", profile_.name}};
-      published_m_ = registry->counter("broker_published_total", labels);
-      consumed_m_ = registry->counter("broker_consumed_total", labels);
-      failures_m_ = registry->counter("broker_publish_failures_total", labels);
+      registry->counter_fn("broker_published_total", labels,
+                           [this] { return static_cast<double>(published_); });
+      registry->counter_fn("broker_consumed_total", labels,
+                           [this] { return static_cast<double>(consumed_); });
+      registry->counter_fn("broker_publish_failures_total", labels,
+                           [this] { return static_cast<double>(publish_failures_); });
       registry->gauge_fn("broker_topic_depth", labels,
                          [this] { return static_cast<double>(topic_.size()); });
       // Capacity-plane feed: the broker IO pool joins the hw_resource_*
@@ -118,7 +121,6 @@ class SimBroker {
     io.release();
     if (outage_now()) {
       ++publish_failures_;
-      failures_m_.inc();
       if (tracer_ != nullptr && ctx.valid()) {
         tracer_->child_span(ctx, profile_.name + ".broker", "broker", t0, sim_.now(),
                             {{"op", "publish"}, {"outcome", "rejected"}});
@@ -126,7 +128,6 @@ class SimBroker {
       co_return false;
     }
     ++published_;
-    published_m_.inc();
     trace::SpanContext pub_ctx = ctx;
     if (tracer_ != nullptr && ctx.valid()) {
       pub_ctx = tracer_->child_span(ctx, profile_.name + ".broker", "broker", t0, sim_.now(),
@@ -155,7 +156,6 @@ class SimBroker {
     if (until > sim_.now()) co_await sim_.wait(until - sim_.now());
     co_await sim_.wait(sim::seconds(profile_.consume_latency_s));
     ++consumed_;
-    consumed_m_.inc();
     Delivery d{std::move(env->payload), env->ctx};
     if (tracer_ != nullptr && env->ctx.valid()) {
       d.ctx = tracer_->child_span(env->ctx, profile_.name + ".broker", "broker",
@@ -204,9 +204,6 @@ class SimBroker {
   std::uint64_t published_ = 0;
   std::uint64_t consumed_ = 0;
   std::uint64_t publish_failures_ = 0;
-  metrics::Counter published_m_;  ///< no-op handles without a registry
-  metrics::Counter consumed_m_;
-  metrics::Counter failures_m_;
 };
 
 }  // namespace serve::broker

@@ -56,10 +56,10 @@ struct ExperimentSpec {
   const sim::FaultPlan* faults = nullptr;
 
   /// Optional telemetry registry: the platform, server, brokers, and clients
-  /// register their instruments here. Cumulative from simulation start (not
-  /// window-scoped like ServerStats). The runner freezes callback
-  /// instruments before tearing the run down, so the registry may safely
-  /// outlive it.
+  /// register their instruments here. It reads the same cumulative counts
+  /// ServerStats windows (from simulation start, never reset). The runner
+  /// freezes callback instruments before tearing the run down, so the
+  /// registry may safely outlive it.
   metrics::Registry* registry = nullptr;
 
   /// Optional flight recorder over `registry` (requires it). The runner

@@ -68,7 +68,7 @@ struct FleetBalancer {
     metrics::TimeIntegrator outstanding_integral;
     double latency_ewma_s = kLatencyPriorS;
     std::uint64_t dispatches_total = 0;
-    std::uint64_t dispatches_window = 0;
+    std::uint64_t dispatches_at_open = 0;  ///< dispatches_total when the window opened
     /// Requests currently on the wire to this node (for crash cancellation).
     std::vector<serving::RequestPtr> wire;
   };
@@ -211,7 +211,6 @@ struct FleetBalancer {
     ++node.outstanding;
     node.outstanding_integral.set(sim.now(), static_cast<double>(node.outstanding));
     ++node.dispatches_total;
-    if (window.measuring()) ++node.dispatches_window;
     const Time t0 = sim.now();
     bool success = false;
     bool neutral = false;  // hedge-cancelled: no health or latency signal
@@ -527,12 +526,16 @@ FleetResult run_fleet(const FleetSpec& spec) {
   FleetResult& r = fleet.tally;
   auto verdict = run.execute(
       spec.warmup, spec.measure,
-      {.open_window = [&] { fleet.window.open(sim.now()); },
+      {.open_window =
+           [&] {
+             fleet.window.open(sim.now());
+             for (auto& n : fleet.nodes) n->dispatches_at_open = n->dispatches_total;
+           },
        .close_window =
            [&] {
              for (auto& n : fleet.nodes) {
                r.node_throughput_rps.push_back(n->server->stats().throughput());
-               r.node_dispatches.push_back(n->dispatches_window);
+               r.node_dispatches.push_back(n->dispatches_total - n->dispatches_at_open);
              }
              r.throughput_rps = fleet.window.throughput(sim.now());
              r.mean_latency_s = fleet.window.latency().mean();

@@ -17,6 +17,12 @@
 // components it observed (the experiment runner calls it before tearing the
 // platform down).
 //
+// Which kind to use: a simulator-thread component counts each event once in
+// a plain field of its own and registers counter_fn over it (its windows are
+// differences of that field). Counter handles are for real-thread components
+// (codec worker pools, the file-log broker), where a callback would read
+// across threads, and for instruments that exist only in the registry.
+//
 // Disabled-cost contract: every handle is a single pointer; a
 // default-constructed handle makes all operations no-ops, so instrumented
 // code pays one predictable branch when no registry is attached.

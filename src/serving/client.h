@@ -55,8 +55,10 @@ class RetryingSubmitter {
   RetryingSubmitter(InferenceServer& server, sim::Rng& rng)
       : server_(server), rng_(rng), policy_(server.config().retry), budget_(policy_.retry_budget) {
     if (auto* reg = server_.platform().registry()) {
-      retries_m_ = reg->counter("client_retries_total");
-      timeouts_m_ = reg->counter("client_timeouts_total");
+      reg->counter_fn("client_retries_total", {},
+                      [this] { return static_cast<double>(retries_); });
+      reg->counter_fn("client_timeouts_total", {},
+                      [this] { return static_cast<double>(timeouts_); });
       reg->gauge_fn("client_retry_budget", {}, [this] { return budget_; });
     }
   }
@@ -85,10 +87,7 @@ class RetryingSubmitter {
       } else {
         co_await req->done.wait();
       }
-      if (!signalled) {
-        ++timeouts_;
-        timeouts_m_.inc();
-      }
+      if (!signalled) ++timeouts_;
       if (signalled && !req->failed && !req->dropped) {
         budget_ = std::min(policy_.retry_budget, budget_ + policy_.budget_refill_per_success);
         co_return true;
@@ -97,7 +96,6 @@ class RetryingSubmitter {
       if (budget_ < 1.0) co_return false;  // retry token budget exhausted
       budget_ -= 1.0;
       ++retries_;
-      retries_m_.inc();
       sim::Time step = policy_.backoff_base;
       for (int i = 1; i < attempt && step < policy_.backoff_cap; ++i) step *= 2;
       step = std::min(step, policy_.backoff_cap);
@@ -120,8 +118,6 @@ class RetryingSubmitter {
   double budget_;
   std::uint64_t retries_ = 0;
   std::uint64_t timeouts_ = 0;
-  metrics::Counter retries_m_;   ///< no-op without a platform registry
-  metrics::Counter timeouts_m_;
 };
 
 /// Closed-loop client pool: `concurrency` clients, each submitting the next

@@ -62,6 +62,12 @@ double parse_double(int line_no, const std::string& key, const std::string& v, d
   return out;
 }
 
+/// Whole milliseconds / microseconds in `t`. Durations are read back as
+/// integers, so they must not go through the stream's six-digit float form
+/// (1800000 ms would print as 1.8e+06 and fail to parse).
+long long whole_ms(sim::Time t) { return static_cast<long long>(t / 1'000'000); }
+long long whole_us(sim::Time t) { return static_cast<long long>(t / 1'000); }
+
 }  // namespace
 
 ServerConfig parse_server_config(const std::string& text) {
@@ -265,29 +271,29 @@ std::string format_server_config(const ServerConfig& config) {
   out << "max_batch = " << config.effective_max_batch() << "\n";
   out << "instance_count = " << config.instance_count << "\n";
   out << "fixed_batch = " << config.fixed_batch << "\n";
-  out << "max_queue_delay_us = " << sim::to_microseconds(config.max_queue_delay) << "\n";
-  out << "shed_deadline_ms = " << sim::to_milliseconds(config.shed_deadline) << "\n";
+  out << "max_queue_delay_us = " << whole_us(config.max_queue_delay) << "\n";
+  out << "shed_deadline_ms = " << whole_ms(config.shed_deadline) << "\n";
   out << "audit = " << (config.audit ? "true" : "false") << "\n";
   out << "validate_payloads = " << (config.validate_payloads ? "true" : "false") << "\n";
   out << "retry = " << (config.retry.enabled ? "true" : "false") << "\n";
   out << "retry_max_attempts = " << config.retry.max_attempts << "\n";
-  out << "retry_timeout_ms = " << sim::to_milliseconds(config.retry.timeout) << "\n";
-  out << "retry_backoff_base_ms = " << sim::to_milliseconds(config.retry.backoff_base) << "\n";
-  out << "retry_backoff_cap_ms = " << sim::to_milliseconds(config.retry.backoff_cap) << "\n";
+  out << "retry_timeout_ms = " << whole_ms(config.retry.timeout) << "\n";
+  out << "retry_backoff_base_ms = " << whole_ms(config.retry.backoff_base) << "\n";
+  out << "retry_backoff_cap_ms = " << whole_ms(config.retry.backoff_cap) << "\n";
   out << "retry_budget = " << config.retry.retry_budget << "\n";
   out << "retry_budget_refill = " << config.retry.budget_refill_per_success << "\n";
   out << "circuit_breaker = " << (config.breaker.enabled ? "true" : "false") << "\n";
   out << "breaker_queue_depth = " << config.breaker.queue_depth_open << "\n";
   out << "breaker_error_rate = " << config.breaker.error_rate_open << "\n";
-  out << "breaker_open_ms = " << sim::to_milliseconds(config.breaker.open_duration) << "\n";
+  out << "breaker_open_ms = " << whole_ms(config.breaker.open_duration) << "\n";
   out << "breaker_half_open_probes = " << config.breaker.half_open_probes << "\n";
   out << "degrade = " << (config.degrade.enabled ? "true" : "false") << "\n";
-  out << "degrade_hysteresis_ms = " << sim::to_milliseconds(config.degrade.hysteresis) << "\n";
+  out << "degrade_hysteresis_ms = " << whole_ms(config.degrade.hysteresis) << "\n";
   out << "broker_publish = " << (config.broker_publish.publish_results ? "true" : "false") << "\n";
   out << "broker_retry = " << (config.broker_publish.retry_enabled ? "true" : "false") << "\n";
   out << "broker_max_attempts = " << config.broker_publish.max_attempts << "\n";
-  out << "broker_backoff_ms = " << sim::to_milliseconds(config.broker_publish.backoff_base) << "\n";
-  out << "broker_poll_ms = " << sim::to_milliseconds(config.broker_publish.poll_interval) << "\n";
+  out << "broker_backoff_ms = " << whole_ms(config.broker_publish.backoff_base) << "\n";
+  out << "broker_poll_ms = " << whole_ms(config.broker_publish.poll_interval) << "\n";
   out << "balancer_policy = "
       << (config.balancer.policy == BalancerPolicy::kRoundRobin          ? "round_robin"
           : config.balancer.policy == BalancerPolicy::kRandom            ? "random"
@@ -296,19 +302,16 @@ std::string format_server_config(const ServerConfig& config) {
                                                                          : "latency_weighted")
       << "\n";
   out << "health_checks = " << (config.balancer.health.enabled ? "true" : "false") << "\n";
-  out << "health_probe_interval_ms = "
-      << sim::to_milliseconds(config.balancer.health.probe_interval) << "\n";
-  out << "health_probe_timeout_ms = "
-      << sim::to_milliseconds(config.balancer.health.probe_timeout) << "\n";
+  out << "health_probe_interval_ms = " << whole_ms(config.balancer.health.probe_interval) << "\n";
+  out << "health_probe_timeout_ms = " << whole_ms(config.balancer.health.probe_timeout) << "\n";
   out << "health_probe_cost_us = " << config.balancer.health.probe_cost_s * 1e6 << "\n";
   out << "health_ewma_alpha = " << config.balancer.health.ewma_alpha << "\n";
   out << "health_eject_score = " << config.balancer.health.eject_score << "\n";
   out << "health_eject_probe_failures = " << config.balancer.health.eject_probe_failures << "\n";
-  out << "health_eject_ms = " << sim::to_milliseconds(config.balancer.health.eject_duration)
-      << "\n";
+  out << "health_eject_ms = " << whole_ms(config.balancer.health.eject_duration) << "\n";
   out << "health_rejoin_probes = " << config.balancer.health.rejoin_probes << "\n";
   out << "hedge = " << (config.balancer.hedge.enabled ? "true" : "false") << "\n";
-  out << "hedge_deadline_ms = " << sim::to_milliseconds(config.balancer.hedge.deadline) << "\n";
+  out << "hedge_deadline_ms = " << whole_ms(config.balancer.hedge.deadline) << "\n";
   out << "hedge_budget = " << config.balancer.hedge.budget << "\n";
   out << "hedge_budget_refill = " << config.balancer.hedge.budget_refill_per_success << "\n";
   return out.str();

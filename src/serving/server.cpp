@@ -23,7 +23,7 @@ constexpr std::uint64_t kMinOutcomeSamples = 20;
 }  // namespace
 
 InferenceServer::InferenceServer(hw::Platform& platform, ServerConfig config)
-    : platform_(platform), config_(config), stats_(platform.sim()) {
+    : platform_(platform), config_(config) {
   if (config_.ingress_cache.enabled) {
     ingress_cache_ = std::make_unique<IngressCache>(IngressCache::Options{
         .image_budget_bytes = config_.ingress_cache.image_budget_bytes,
@@ -83,28 +83,31 @@ InferenceServer::InferenceServer(hw::Platform& platform, ServerConfig config)
 
 void InferenceServer::init_telemetry() {
   auto& reg = *platform_.registry();
-  tele_.submitted = reg.counter("serving_requests_submitted_total");
-  tele_.completed = reg.counter("serving_requests_completed_total");
-  tele_.failed = reg.counter("serving_requests_failed_total");
-  tele_.dropped = reg.counter("serving_requests_dropped_total");
-  tele_.rejected = reg.counter("serving_requests_rejected_total");
-  tele_.degraded = reg.counter("serving_requests_degraded_total");
-  tele_.handoff_lost = reg.counter("serving_handoff_lost_total");
-  tele_.broker_retries = reg.counter("serving_broker_publish_retries_total");
-  tele_.broker_failovers = reg.counter("serving_broker_failovers_total");
-  tele_.breaker_to_open = reg.counter("serving_breaker_transitions_total", {{"to", "open"}});
-  tele_.breaker_to_half_open =
-      reg.counter("serving_breaker_transitions_total", {{"to", "half-open"}});
-  tele_.breaker_to_closed = reg.counter("serving_breaker_transitions_total", {{"to", "closed"}});
+  // Every serving count is a field of counts_, read at sample time.
+  const auto count = [&reg](std::string name, metrics::Labels labels, const std::uint64_t& v) {
+    reg.counter_fn(std::move(name), std::move(labels), [&v] { return static_cast<double>(v); });
+  };
+  count("serving_requests_submitted_total", {}, counts_.submitted);
+  count("serving_requests_completed_total", {}, counts_.completed);
+  count("serving_requests_failed_total", {}, counts_.failed);
+  count("serving_requests_dropped_total", {}, counts_.dropped);
+  count("serving_requests_rejected_total", {}, counts_.rejected);
+  count("serving_requests_degraded_total", {}, counts_.degraded);
+  count("serving_handoff_lost_total", {}, counts_.handoff_lost);
+  count("serving_broker_publish_retries_total", {}, counts_.broker_retries);
+  count("serving_broker_failovers_total", {}, counts_.broker_failovers);
+  count("serving_breaker_transitions_total", {{"to", "open"}}, counts_.breaker_to_open);
+  count("serving_breaker_transitions_total", {{"to", "half-open"}}, counts_.breaker_to_half_open);
+  count("serving_breaker_transitions_total", {{"to", "closed"}}, counts_.breaker_to_closed);
   for (std::size_t s = 0; s < metrics::kStageCount; ++s) {
-    tele_.stage_seconds[s] = reg.counter(
-        "serving_stage_seconds_total",
-        {{"stage", std::string(metrics::stage_name(static_cast<Stage>(s)))}});
+    reg.counter_fn("serving_stage_seconds_total",
+                   {{"stage", std::string(metrics::stage_name(static_cast<Stage>(s)))}},
+                   [this, s] { return counts_.stage_seconds[s]; });
   }
   // Exemplars on the latency histogram let the exporter link each bucket —
   // SLO tail included — to the last trace that landed there.
-  tele_.latency = reg.histogram("serving_request_latency_seconds", {}, {.track_exemplars = true});
-  tele_.batch_size =
+  latency_hist_ = reg.histogram("serving_request_latency_seconds", {}, {.track_exemplars = true});
+  batch_size_hist_ =
       reg.histogram("serving_batch_size", {}, {.min_value = 1.0, .max_value = 4096.0});
   if (ingress_cache_ != nullptr) {
     IngressCache& c = *ingress_cache_;
@@ -132,7 +135,7 @@ void InferenceServer::init_telemetry() {
   reg.counter_fn("serving_in_flight_seconds_total", {}, [this] {
     return inflight_integral_.integral_seconds(platform_.sim().now());
   });
-  tele_.latency_sum = reg.counter("serving_latency_seconds_total");
+  reg.counter_fn("serving_latency_seconds_total", {}, [this] { return counts_.latency_sum_s; });
   // Queue depth per scheduler queue: sampled from the batchers at recorder
   // ticks (the growth-toward-seconds trajectory behind the Fig. 5 claim),
   // plus the time-weighted integral sibling the capacity plane differences
@@ -157,20 +160,20 @@ void InferenceServer::init_telemetry() {
 }
 
 void InferenceServer::record_terminal(const Request& req) {
-  if (!tele_.latency.enabled()) return;
-  tele_.latency.observe(sim::to_seconds(req.latency()), req.trace_ctx.trace_id);
-  tele_.latency_sum.inc(sim::to_seconds(req.latency()));
+  const double latency = sim::to_seconds(req.latency());
+  latency_hist_.observe(latency, req.trace_ctx.trace_id);
+  counts_.latency_sum_s += latency;
   for (std::size_t s = 0; s < metrics::kStageCount; ++s) {
     const double v = req.stages.seconds[s];
-    if (v > 0.0) tele_.stage_seconds[s].inc(v);
+    if (v > 0.0) counts_.stage_seconds[s] += v;
   }
 }
 
 void InferenceServer::note_breaker(BreakerState to) {
   switch (to) {
-    case BreakerState::kOpen: tele_.breaker_to_open.inc(); break;
-    case BreakerState::kHalfOpen: tele_.breaker_to_half_open.inc(); break;
-    case BreakerState::kClosed: tele_.breaker_to_closed.inc(); break;
+    case BreakerState::kOpen: ++counts_.breaker_to_open; break;
+    case BreakerState::kHalfOpen: ++counts_.breaker_to_half_open; break;
+    case BreakerState::kClosed: ++counts_.breaker_to_closed; break;
   }
   if (auditor_) {
     const std::string_view name = to == BreakerState::kOpen      ? "open"
@@ -181,9 +184,8 @@ void InferenceServer::note_breaker(BreakerState to) {
 }
 
 void InferenceServer::submit(RequestPtr req) {
-  ++submitted_;
+  ++counts_.submitted;
   inflight_integral_.add(platform_.sim().now(), 1.0);
-  tele_.submitted.inc();
   if (auditor_) auditor_->on_submit(*req);
   if (!accepting_) {
     // Post-shutdown submissions are fail-accounted (counted, done signalled)
@@ -234,7 +236,6 @@ bool InferenceServer::breaker_admit() {
 void InferenceServer::open_breaker() {
   breaker_state_ = BreakerState::kOpen;
   breaker_open_until_ = platform_.sim().now() + config_.breaker.open_duration;
-  stats_.record_breaker_open();
   note_breaker(BreakerState::kOpen);
 }
 
@@ -354,8 +355,7 @@ void InferenceServer::hand_off(sim::Channel<RequestPtr>& ch, std::size_t g, Requ
     accepted = false;  // raced with shutdown's staged drain
   }
   if (accepted) return;
-  ++lost_handoffs_;
-  tele_.handoff_lost.inc();
+  ++counts_.handoff_lost;
   if (auditor_) auditor_->on_lost_handoff(*keep, where);
   drop_request(g, std::move(keep));
 }
@@ -489,8 +489,7 @@ sim::Process InferenceServer::handle_request(RequestPtr req) {
   // recently left) a failure window, fall back to the CPU pool and ship the
   // preprocessed tensor instead — slower, but the request survives.
   if (gpu_degraded(g)) {
-    stats_.record_degraded();
-    tele_.degraded.inc();
+    ++counts_.degraded;
     if (hit != CacheLevel::kTensor) {
       const Time q0 = sim.now();
       auto worker = co_await cpu.preproc_workers().acquire();
@@ -718,7 +717,7 @@ sim::Process InferenceServer::inference_loop(std::size_t g) {
       r->charge(Stage::kQueue, dispatch - r->enqueue_time, dispatch_blame);
     }
     stats_.record_batch_size(b);
-    tele_.batch_size.observe(static_cast<double>(b));
+    batch_size_hist_.observe(static_cast<double>(b));
 
     if (cpu_staged_path) {
       // Ensemble hop: per-batch gap + per-image serialized staging. The
@@ -836,19 +835,18 @@ void InferenceServer::fail_request(std::size_t g, RequestPtr req, FailReason rea
   release_early(g, *req, fail_reason_name(reason));
   req->failed = true;
   req->fail_reason = reason;
-  if (reason == FailReason::kBreakerOpen) tele_.rejected.inc();
   // Breaker rejections and post-shutdown submissions must not feed the error
   // EWMA: the breaker would hold itself open on its own rejections.
   if (reason != FailReason::kBreakerOpen && reason != FailReason::kShutdown) {
     record_outcome(false);
   }
-  retire(*req, tele_.failed);
+  retire(*req);
 }
 
 void InferenceServer::drop_request(std::size_t g, RequestPtr req, std::string_view blame) {
   release_early(g, *req, blame);
   req->dropped = true;
-  retire(*req, tele_.dropped);
+  retire(*req);
 }
 
 sim::Process InferenceServer::finish_request(RequestPtr req) {
@@ -880,15 +878,12 @@ sim::Process InferenceServer::finish_request(RequestPtr req) {
           delivered = true;
           break;
         }
-        tele_.broker_retries.inc();
+        ++counts_.broker_retries;
         if (attempt < attempts && pol.backoff_base > 0) {
           co_await sim.wait(pol.backoff_base << (attempt - 1));
         }
       }
-      if (!delivered) {
-        stats_.record_broker_failover();  // fused in-process delivery
-        tele_.broker_failovers.inc();
-      }
+      if (!delivered) ++counts_.broker_failovers;  // fused in-process delivery
     } else {
       while (!co_await result_broker_->publish(req->id)) {
         co_await sim.wait(std::max<Time>(pol.poll_interval, 1));
@@ -898,16 +893,24 @@ sim::Process InferenceServer::finish_request(RequestPtr req) {
   }
 
   record_outcome(true);
-  retire(*req, tele_.completed);
+  retire(*req);
 }
 
-void InferenceServer::retire(Request& req, metrics::Counter& outcome) {
+void InferenceServer::retire(Request& req) {
   const Time now = platform_.sim().now();
   req.completed = now;
-  ++finished_;
   inflight_integral_.add(now, -1.0);
-  stats_.record(req);
-  outcome.inc();
+  if (req.dropped) {
+    ++counts_.dropped;
+  } else if (req.failed) {
+    ++counts_.failed;
+    if (req.fail_reason == FailReason::kBreakerOpen) ++counts_.rejected;
+  } else {
+    ++counts_.completed;
+    if (req.cache_hit == CacheLevel::kTensor) ++counts_.cache_tensor_hits;
+    if (req.cache_hit == CacheLevel::kImage) ++counts_.cache_image_hits;
+    stats_.record_completed(req);
+  }
   record_terminal(req);
   if (auditor_) auditor_->on_complete(req);
   req.done.set();

@@ -10,7 +10,6 @@
 // paper's breakdown figures can be regenerated exactly.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <string_view>
@@ -61,7 +60,9 @@ class InferenceServer {
   [[nodiscard]] hw::Platform& platform() noexcept { return platform_; }
 
   /// Requests accepted but not yet completed.
-  [[nodiscard]] std::uint64_t in_flight() const noexcept { return submitted_ - finished_; }
+  [[nodiscard]] std::uint64_t in_flight() const noexcept {
+    return counts_.submitted - counts_.completed - counts_.failed - counts_.dropped;
+  }
 
   /// Lifecycle auditor (nullptr unless ServerConfig::audit is set). To get
   /// per-request trace spans, call auditor()->set_trace(...) before the
@@ -70,7 +71,7 @@ class InferenceServer {
 
   /// Requests that failed a scheduler-queue hand-off and were drop-accounted
   /// instead of lost (always 0 in a healthy configuration).
-  [[nodiscard]] std::uint64_t lost_handoffs() const noexcept { return lost_handoffs_; }
+  [[nodiscard]] std::uint64_t lost_handoffs() const noexcept { return counts_.handoff_lost; }
 
   /// Content-addressed preprocess cache (nullptr unless
   /// ServerConfig::ingress_cache.enabled). Exposed so harnesses can read its
@@ -111,11 +112,11 @@ class InferenceServer {
   /// since the last queue entry (blamed on `blame`).
   void release_early(std::size_t gpu, Request& req, std::string_view blame);
 
-  /// The one terminal tail of finish/fail/drop: stamps `completed`, removes
-  /// the request from the in-flight accounting, records it in the stats and
-  /// telemetry (bumping `outcome`), hands it to the auditor, and signals
-  /// `done`. Callers feed the breaker (record_outcome) first.
-  void retire(Request& req, metrics::Counter& outcome);
+  /// The one terminal tail of finish/fail/drop: stamps `completed`, counts
+  /// the outcome its `failed`/`dropped` flags name, records latency and stage
+  /// seconds, hands the request to the auditor, and signals `done`. Callers
+  /// set the flags and feed the breaker (record_outcome) first.
+  void retire(Request& req);
 
   // Pipeline fragments shared by the paths above (implemented in server.cpp).
   void enqueue_inference(std::size_t g, RequestPtr req);
@@ -152,32 +153,21 @@ class InferenceServer {
                                                      : IngressFormat::kCompressedImage;
   }
 
-  /// Registry handles for the serving layer (no-ops when the platform has no
-  /// registry — every handle degrades to a null-pointer check). Unlike
-  /// ServerStats, which is window-scoped (reset at measurement start), these
-  /// are cumulative from t = 0: the flight recorder differences them into
-  /// rates over time.
-  struct Telemetry {
-    metrics::Counter submitted, completed, failed, dropped, rejected, degraded;
-    metrics::Counter handoff_lost, broker_retries, broker_failovers;
-    metrics::Counter breaker_to_open, breaker_to_half_open, breaker_to_closed;
-    std::array<metrics::Counter, metrics::kStageCount> stage_seconds{};
-    metrics::HistogramHandle latency, batch_size;
-    /// Completion-charged latency sum (the λ·W side of the Little's-law
-    /// audit; its Δ per tick over the in-flight integral's Δ converge in
-    /// steady state and split apart exactly during backlog transients).
-    metrics::Counter latency_sum;
-  };
+  /// Registers the serving instruments: a counter_fn over every field of
+  /// `counts_`, and the two histograms below.
   void init_telemetry();
-  /// Terminal telemetry (part of retire()): latency histogram and
-  /// cumulative per-stage seconds.
+  /// Terminal accounting (part of retire()): latency histogram, latency sum
+  /// and cumulative per-stage seconds.
   void record_terminal(const Request& req);
   void note_breaker(BreakerState to);
 
   hw::Platform& platform_;
   ServerConfig config_;
-  ServerStats stats_;
-  Telemetry tele_{};
+  ServingCounts counts_;
+  ServerStats stats_{platform_.sim(), counts_};
+  /// Registry distributions, the only serving instruments that need handles
+  /// (no-ops when the platform has no registry).
+  metrics::HistogramHandle latency_hist_, batch_size_hist_;
   /// Time-weighted occupancy integrals (the L side of Little's law and the
   /// alias-free queue-depth series). Updated unconditionally — one add per
   /// request edge — and exported via counter_fn when a registry is attached.
@@ -189,9 +179,6 @@ class InferenceServer {
   std::vector<std::unique_ptr<GpuState>> gpus_;
   broker::SimBroker<std::uint64_t>* result_broker_ = nullptr;
   std::vector<std::uint8_t> template_jpeg_;  ///< payload-validation template
-  std::uint64_t submitted_ = 0;
-  std::uint64_t finished_ = 0;
-  std::uint64_t lost_handoffs_ = 0;
   std::size_t next_gpu_ = 0;
   bool accepting_ = true;
   // Circuit-breaker state.

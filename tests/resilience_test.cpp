@@ -469,6 +469,116 @@ TEST(Degradation, FallsBackToCpuAndUndegradesAfterHysteresis) {
   EXPECT_EQ(server.auditor()->violation_count(), 0u);
 }
 
+// --- Window counts vs cumulative counts -------------------------------------
+
+TEST(ServingCounts, WindowCountsOnlyEventsAfterBeginAndRegistryKeepsTheTotal) {
+  sim::Simulator sim;
+  FaultPlan plan;
+  const sim::Time phase2 = sim::seconds(1.0);
+  plan.gpu_failure(0, 0, sim::milliseconds(10));
+  plan.gpu_failure(0, phase2, phase2 + sim::milliseconds(10));
+  metrics::Registry reg;
+  hw::Platform platform{sim, {.faults = &plan, .registry = &reg}};
+  serving::ServerConfig cfg;
+  cfg.model = models::vit_base();
+  cfg.degrade.enabled = true;
+  cfg.degrade.hysteresis = sim::milliseconds(1);
+  cfg.breaker.enabled = true;
+  cfg.breaker.queue_depth_open = 6;
+  cfg.breaker.open_duration = sim::milliseconds(20);
+  cfg.breaker.half_open_probes = 1;
+  serving::InferenceServer server{platform, cfg};
+
+  // One phase: a 12-request burst inside a GPU failure window. The admitted
+  // requests degrade to CPU preprocessing, and the two marked cancelled are
+  // dropped at dispatch; the burst opens the breaker, which rejects the
+  // rest. A lone probe after the open period closes the breaker again.
+  std::vector<serving::RequestPtr> reqs;
+  auto phase = [&](sim::Time t0) {
+    sim.schedule_at(t0 + sim::milliseconds(1), [&] {
+      for (int i = 0; i < 12; ++i) {
+        reqs.push_back(std::make_shared<serving::Request>(sim, reqs.size() + 1, hw::kMediumImage));
+        reqs.back()->cancel_requested = i < 2;
+        server.submit(reqs.back());
+      }
+    });
+    sim.schedule_at(t0 + sim::milliseconds(100), [&] {
+      reqs.push_back(std::make_shared<serving::Request>(sim, reqs.size() + 1, hw::kMediumImage));
+      server.submit(reqs.back());
+    });
+  };
+  struct Tally {
+    std::uint64_t failed = 0, dropped = 0, rejected = 0, degraded = 0;
+  };
+  // Counts the requests reqs[from, to) ended with; every admitted burst
+  // request took the degraded path.
+  auto tally = [&](std::size_t from, std::size_t to) {
+    Tally t;
+    for (std::size_t i = from; i < to; ++i) {
+      const auto& r = *reqs[i];
+      t.failed += r.failed ? 1 : 0;
+      t.dropped += r.dropped ? 1 : 0;
+      const bool rejected = r.fail_reason == serving::FailReason::kBreakerOpen;
+      t.rejected += rejected ? 1 : 0;
+      t.degraded += (!rejected && i + 1 < to) ? 1 : 0;  // the last one is the probe
+    }
+    return t;
+  };
+  auto every_kind = [](const Tally& t) {
+    return t.failed > 0 && t.dropped > 0 && t.rejected > 0 && t.degraded > 0;
+  };
+  auto& stats = server.stats();
+  auto window = [&stats] {
+    return Tally{stats.failed(), stats.dropped(), stats.rejected(), stats.degraded()};
+  };
+
+  phase(0);
+  sim.run();
+  ASSERT_EQ(reqs.size(), 13u);
+  EXPECT_EQ(server.breaker_state(), serving::InferenceServer::BreakerState::kClosed);
+  const Tally first = tally(0, reqs.size());
+  ASSERT_TRUE(every_kind(first));
+  // Before begin() the window spans the server's whole life.
+  const Tally pre = window();
+  EXPECT_EQ(pre.failed, first.failed);
+  EXPECT_EQ(pre.dropped, first.dropped);
+  EXPECT_EQ(pre.rejected, first.rejected);
+  EXPECT_EQ(pre.degraded, first.degraded);
+  const std::uint64_t pre_opens = stats.breaker_opens();
+  EXPECT_EQ(pre_opens, 1u);
+
+  sim.run_until(phase2);
+  stats.begin();
+  EXPECT_EQ(stats.failed() + stats.dropped() + stats.rejected() + stats.degraded() +
+                stats.breaker_opens(),
+            0u);
+  phase(phase2);
+  sim.run();
+  ASSERT_EQ(reqs.size(), 26u);
+  const Tally second = tally(13, reqs.size());
+  ASSERT_TRUE(every_kind(second));
+  const Tally in_window = window();
+  EXPECT_EQ(in_window.failed, second.failed);
+  EXPECT_EQ(in_window.dropped, second.dropped);
+  EXPECT_EQ(in_window.rejected, second.rejected);
+  EXPECT_EQ(in_window.degraded, second.degraded);
+  EXPECT_EQ(stats.breaker_opens(), 1u);
+
+  // The registry reads the same cumulative counts the window differences.
+  auto total = [&reg](const std::string& name, const metrics::Labels& labels = {}) {
+    const auto snap = reg.find(name, labels);
+    return snap ? static_cast<std::uint64_t>(snap->value) : ~std::uint64_t{0};
+  };
+  EXPECT_EQ(total("serving_requests_failed_total"), pre.failed + in_window.failed);
+  EXPECT_EQ(total("serving_requests_dropped_total"), pre.dropped + in_window.dropped);
+  EXPECT_EQ(total("serving_requests_rejected_total"), pre.rejected + in_window.rejected);
+  EXPECT_EQ(total("serving_requests_degraded_total"), pre.degraded + in_window.degraded);
+  EXPECT_EQ(total("serving_breaker_transitions_total", {{"to", "open"}}),
+            pre_opens + stats.breaker_opens());
+  EXPECT_EQ(total("serving_requests_submitted_total"), reqs.size());
+  server.shutdown();
+}
+
 // --- Conservation under every fault scenario -------------------------------
 
 struct FaultScenario {
