@@ -53,7 +53,8 @@ struct Pipeline {
   trace::TraceSampler sampler;
   const std::string& label;
   metrics::Window window;
-  std::uint64_t units_done = 0;  ///< units of the jobs counted in `window`
+  std::uint64_t units_done = 0;     ///< units of every finished job, cumulative
+  std::uint64_t units_at_open = 0;  ///< `units_done` when the window opened
   std::uint64_t next_id = 1;
   bool stopping = false;
 
@@ -88,7 +89,7 @@ struct Pipeline {
     // Whatever is not attributed to a named stage is scheduler queueing.
     const double other = sim::to_seconds(latency) - job.stages.total();
     if (other > 0.0) job.stages[metrics::Stage::kQueue] += other;
-    if (window.measuring()) units_done += static_cast<std::uint64_t>(job.width);
+    units_done += static_cast<std::uint64_t>(job.width);
     window.record(sim::to_seconds(latency), job.stages);
     if (tracer != nullptr && job.ctx.valid()) {
       sim::SpanArgs args;
@@ -121,13 +122,18 @@ Result run_closed_loop(Run& run, Pipeline& p, sim::Channel<std::shared_ptr<J>>& 
   for (int i = 0; i < concurrency; ++i) p.sim.spawn(client<J>(p, in, width));
   Result r;
   (void)run.execute(warmup, measure,
-                    {.open_window = [&] { p.window.open(p.sim.now()); },
+                    {.open_window =
+                         [&] {
+                           p.window.open(p.sim.now());
+                           p.units_at_open = p.units_done;
+                         },
                      .close_window =
                          [&] {
                            const auto& w = p.window;
-                           r = {w.throughput(p.sim.now()), w.rate(p.units_done, p.sim.now()),
-                                w.latency().mean(),        w.latency().p99(),
-                                w.count(),                 w.breakdown()};
+                           r = {w.throughput(p.sim.now()),
+                                w.rate(p.units_done - p.units_at_open, p.sim.now()),
+                                w.latency().mean(), w.latency().p99(), w.count(),
+                                w.breakdown()};
                          },
                      .stop_load = [&] { p.stopping = true; },
                      .close = [&] { in.close(); }});

@@ -401,21 +401,18 @@ void AlertEngine::evaluate_little(LittleState& st, sim::Time now, double dt_s, s
   }
   // L and λW are both time-averages over this tick's interval, derived from
   // monotone counters — immune to sampling phase by construction.
-  const double little_l = (occ - st.prev_occ) / dt_s;
-  const double lam_w = (lat - st.prev_lat) / dt_s;
+  const LittleSample ls =
+      little_sample(occ - st.prev_occ, lat - st.prev_lat, dt_s, r.tolerance, r.min_occupancy);
   st.prev_occ = occ;
   st.prev_lat = lat;
-  const double hi = std::max(little_l, lam_w);
-  const bool active = hi >= r.min_occupancy;
-  const double dev = active ? std::abs(little_l - lam_w) / std::max(hi, 1e-12) : 0.0;
-  const bool breach = active && dev > r.tolerance;
-  if (breach) st.deviation_ticks.inc();
-  const int step = step_state(st.state, breach, !breach, r.for_ticks, r.clear_for_ticks);
+  if (ls.violated) st.deviation_ticks.inc();
+  const int step =
+      step_state(st.state, ls.violated, !ls.violated, r.for_ticks, r.clear_for_ticks);
   if (step != 0) {
-    std::string detail = "L=" + metrics::format_double(little_l) +
-                         " lambda_w=" + metrics::format_double(lam_w) +
-                         " deviation=" + metrics::format_double(dev);
-    transition(now, r.name, step > 0, dev, r.tolerance, std::move(detail), st.fired,
+    std::string detail = "L=" + metrics::format_double(ls.l) +
+                         " lambda_w=" + metrics::format_double(ls.lambda_w) +
+                         " deviation=" + metrics::format_double(ls.deviation);
+    transition(now, r.name, step > 0, ls.deviation, r.tolerance, std::move(detail), st.fired,
                st.resolved);
   }
 }

@@ -52,6 +52,7 @@
 
 #include "metrics/flight_recorder.h"
 #include "metrics/registry.h"
+#include "obs/little.h"
 #include "sim/time.h"
 #include "sim/trace.h"
 #include "trace/span_context.h"
@@ -124,10 +125,8 @@ struct LittleLawRule {
   /// Counter: sum of request latencies charged at completion (seconds).
   std::string latency_sum = "serving_latency_seconds_total";
   metrics::Labels label_filter;  ///< applied to both instruments
-  double tolerance = 0.15;       ///< relative |L - λW| / max(L, λW) that breaches
-  /// Near-idle ticks (both sides below this many requests) never breach:
-  /// the relative error of ~0 against ~0 is noise, not signal.
-  double min_occupancy = 0.5;
+  double tolerance = kLittleTolerance;        ///< see obs/little.h
+  double min_occupancy = kLittleMinOccupancy;  ///< near-idle floor
   int for_ticks = 2;
   int clear_for_ticks = 2;
 };

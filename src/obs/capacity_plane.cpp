@@ -150,15 +150,10 @@ void CapacityPlane::observe(sim::Time now, std::uint64_t /*tick*/) {
   if (occ_idx_ != kNoIndex && lat_idx_ != kNoIndex) {
     const double occ = registry_.current_value(occ_idx_);
     const double lat = registry_.current_value(lat_idx_);
-    ls.l = (occ - prev_occ_) / dt_s;
-    ls.lambda_w = (lat - prev_lat_) / dt_s;
+    ls = little_sample(occ - prev_occ_, lat - prev_lat_, dt_s, opts_.little_tolerance,
+                       opts_.little_min_occupancy);
     prev_occ_ = occ;
     prev_lat_ = lat;
-    const double hi = std::max(ls.l, ls.lambda_w);
-    if (hi >= opts_.little_min_occupancy) {
-      ls.deviation = std::abs(ls.l - ls.lambda_w) / std::max(hi, 1e-12);
-      ls.violated = ls.deviation > opts_.little_tolerance;
-    }
   }
   if (ls.violated) {
     ++violations_;

@@ -43,6 +43,7 @@
 #include "metrics/export.h"
 #include "metrics/flight_recorder.h"
 #include "metrics/registry.h"
+#include "obs/little.h"
 #include "sim/time.h"
 
 namespace serve::obs {
@@ -68,14 +69,6 @@ struct BindingSegment {
   std::size_t resource = 0;
 };
 
-/// One interval's Little's-law audit sample.
-struct LittleSample {
-  double l = 0.0;         ///< Δ(in-flight time integral) / dt
-  double lambda_w = 0.0;  ///< Δ(completion-charged latency sum) / dt
-  double deviation = 0.0; ///< |l - lambda_w| / max(l, lambda_w)
-  bool violated = false;  ///< deviation > tolerance at meaningful occupancy
-};
-
 /// Request stage a hardware engine contributes to on the critical path
 /// (kIngest when unknown — host cores serve the web stack).
 [[nodiscard]] metrics::Stage stage_for_resource(std::string_view device,
@@ -86,8 +79,8 @@ class CapacityPlane {
   struct Options {
     /// Little's-law audit: relative deviation that flags an interval, and
     /// the occupancy floor below which near-idle noise never flags.
-    double little_tolerance = 0.15;
-    double little_min_occupancy = 0.5;
+    double little_tolerance = kLittleTolerance;
+    double little_min_occupancy = kLittleMinOccupancy;
     /// An interval is "idle" (no binding resource) when every candidate's
     /// busy fraction is below this floor.
     double idle_floor = 0.05;

@@ -389,53 +389,12 @@ sim::Process InferenceServer::handle_request(RequestPtr req) {
     }
   }
 
-  if (config_.mode == PipelineMode::kInferenceOnly) {
-    // The client ships the preprocessed fp32 tensor (~5x the compressed
-    // JPEG for the medium image — the Fig. 7 TinyViT data-transfer outlier).
-    const std::int64_t bytes = config_.model.input_tensor_bytes();
-    const Time t0 = sim.now();
-    {
-      auto host = co_await platform_.host_link().acquire();
-      co_await sim.wait(seconds(platform_.host_link_seconds(bytes)));
-    }
-    {
-      auto copy = co_await gpu.copy_h2d().acquire();
-      co_await sim.wait(seconds(gpu.link_seconds(bytes)));
-    }
-    req->charge(Stage::kTransfer, sim.now() - t0);
-    req->staged = gpu.stager().stage(bytes);
-    enqueue_inference(g, std::move(req));
-    co_return;
-  }
-
-  if (fmt == IngressFormat::kRawTensor) {
-    // Client-side preprocessing: the fp32 network input crosses the host
-    // fabric at tensor size (~5x a medium JPEG — the paper's F7 ingress
-    // trade), but no server preprocess stage runs at all. On a GPU-preproc
-    // deployment it continues straight over PCIe and is staged on-device;
-    // on a CPU-preproc deployment it lands in the same host-side tensor
-    // buffer CPU preprocessing fills, and rides the batched staging path to
-    // the device at dispatch like every other host tensor.
-    if (config_.mode == PipelineMode::kPreprocessOnly) {
-      sim.spawn(finish_request(std::move(req)));
-      co_return;
-    }
-    const std::int64_t bytes = config_.model.input_tensor_bytes();
-    const bool device_direct = config_.preproc == PreprocDevice::kGpu;
-    const Time t0 = sim.now();
-    {
-      auto host = co_await platform_.host_link().acquire();
-      co_await sim.wait(seconds(platform_.host_link_seconds(bytes)));
-    }
-    if (device_direct) {
-      auto copy = co_await gpu.copy_h2d().acquire();
-      co_await sim.wait(seconds(gpu.link_seconds(bytes)));
-    }
-    req->charge(Stage::kTransfer, sim.now() - t0);
-    if (device_direct) req->staged = gpu.stager().stage(bytes);
-    enqueue_inference(g, std::move(req));
-    co_return;
-  }
+  // The route, decided once (the table in server.h). A tensor-in request —
+  // inference-only mode, or a client that preprocessed it — skips the cache
+  // and every preprocess step.
+  const bool gpu_deploy = config_.preproc == PreprocDevice::kGpu;
+  const bool tensor_in =
+      config_.mode == PipelineMode::kInferenceOnly || fmt == IngressFormat::kRawTensor;
 
   // Content-addressed ingress cache: probe with the request's stable payload
   // hash (zero = unique payload, never cached). The probe is real elapsed
@@ -444,7 +403,7 @@ sim::Process InferenceServer::handle_request(RequestPtr req) {
   // *conserved* as a tiny preprocess span in the auditor breakdown and the
   // critical-path analyzer — not silently dropped.
   CacheLevel hit = CacheLevel::kNone;
-  if (ingress_cache_ != nullptr && req->content_hash != 0) {
+  if (!tensor_in && ingress_cache_ != nullptr && req->content_hash != 0) {
     hit = ingress_cache_->lookup(req->content_hash, config_.model.input_side);
     req->cache_hit = hit;
     const double probe = ingress_cache_->options().lookup_s;
@@ -457,116 +416,69 @@ sim::Process InferenceServer::handle_request(RequestPtr req) {
     }
   }
 
-  if (config_.preproc == PreprocDevice::kCpu) {
-    // CPU preprocessing path: decode on a tuned worker pool; the resulting
-    // tensor is buffered in host memory until batch dispatch (the paper's
-    // "CPU preprocessing benefits from a larger main memory" observation).
-    // A tensor-level cache hit skips the worker pool entirely (the cached
-    // tensor is already host-resident); an image-level hit skips decode.
-    if (hit != CacheLevel::kTensor) {
-      const Time t0 = sim.now();
-      auto worker = co_await cpu.preproc_workers().acquire();
-      req->charge(Stage::kQueue, sim.now() - t0, "preproc-worker");
-      const double p = cpu.preprocess_seconds(req->image, config_.model.input_side,
-                                              hit == CacheLevel::kImage);
-      co_await sim.wait(seconds(p));
-      worker.release();
-      req->charge(Stage::kPreprocess, seconds(p));
-      if (ingress_cache_ != nullptr && req->content_hash != 0) {
-        ingress_cache_->insert(req->content_hash, req->image.decoded_bytes(),
-                               config_.model.input_side);
-      }
-    }
-    if (config_.mode == PipelineMode::kPreprocessOnly) {
-      sim.spawn(finish_request(std::move(req)));
-    } else {
-      enqueue_inference(g, std::move(req));
-    }
-    co_return;
-  }
-
   // Graceful degradation: when this GPU's preprocessing pipeline is in (or
   // recently left) a failure window, fall back to the CPU pool and ship the
   // preprocessed tensor instead — slower, but the request survives.
-  if (gpu_degraded(g)) {
-    ++counts_.degraded;
-    if (hit != CacheLevel::kTensor) {
-      const Time q0 = sim.now();
-      auto worker = co_await cpu.preproc_workers().acquire();
-      req->charge(Stage::kQueue, sim.now() - q0, "preproc-worker;degraded");
-      const double p = cpu.preprocess_seconds(req->image, config_.model.input_side,
-                                              hit == CacheLevel::kImage);
-      co_await sim.wait(seconds(p));
-      worker.release();
-      req->charge(Stage::kPreprocess, seconds(p));
-      if (ingress_cache_ != nullptr && req->content_hash != 0) {
-        ingress_cache_->insert(req->content_hash, req->image.decoded_bytes(),
-                               config_.model.input_side);
-      }
-    }
-    if (config_.mode == PipelineMode::kPreprocessOnly) {
-      sim.spawn(finish_request(std::move(req)));
-      co_return;
-    }
-    const std::int64_t bytes = config_.model.input_tensor_bytes();
+  const bool degraded = !tensor_in && gpu_deploy && gpu_degraded(g);
+  if (degraded) ++counts_.degraded;
+  // A tensor-level hit is host-resident: it skips preprocessing everywhere.
+  const bool gpu_pre = !tensor_in && gpu_deploy && !degraded && hit != CacheLevel::kTensor;
+
+  if (!tensor_in && !gpu_pre && hit != CacheLevel::kTensor) {
+    // CPU preprocessing on a tuned worker pool (an image-level hit skips
+    // decode). On the CPU deployment the tensor stays in host memory until
+    // batch dispatch (the paper's "CPU preprocessing benefits from a larger
+    // main memory" observation).
     const Time t0 = sim.now();
-    {
-      auto host = co_await platform_.host_link().acquire();
-      co_await sim.wait(seconds(platform_.host_link_seconds(bytes)));
+    auto worker = co_await cpu.preproc_workers().acquire();
+    req->charge(Stage::kQueue, sim.now() - t0,
+                degraded ? "preproc-worker;degraded" : "preproc-worker");
+    const double p = cpu.preprocess_seconds(req->image, config_.model.input_side,
+                                            hit == CacheLevel::kImage);
+    co_await sim.wait(seconds(p));
+    worker.release();
+    req->charge(Stage::kPreprocess, seconds(p));
+    if (ingress_cache_ != nullptr && req->content_hash != 0) {
+      ingress_cache_->insert(req->content_hash, req->image.decoded_bytes(),
+                             config_.model.input_side);
     }
-    {
-      auto copy = co_await gpu.copy_h2d().acquire();
-      co_await sim.wait(seconds(gpu.link_seconds(bytes)));
-    }
-    req->charge(Stage::kTransfer, sim.now() - t0);
-    req->staged = gpu.stager().stage(bytes);
-    enqueue_inference(g, std::move(req));
+  }
+  if (!gpu_pre && config_.mode == PipelineMode::kPreprocessOnly) {
+    sim.spawn(finish_request(std::move(req)));
     co_return;
   }
 
-  if (hit == CacheLevel::kTensor) {
-    // The cached network input is host-resident: ship it to the device like
-    // a raw-tensor request and skip the DALI pipeline entirely.
-    if (config_.mode == PipelineMode::kPreprocessOnly) {
-      sim.spawn(finish_request(std::move(req)));
-      co_return;
-    }
-    const std::int64_t bytes = config_.model.input_tensor_bytes();
-    const Time t0 = sim.now();
-    {
-      auto host = co_await platform_.host_link().acquire();
-      co_await sim.wait(seconds(platform_.host_link_seconds(bytes)));
-    }
-    {
-      auto copy = co_await gpu.copy_h2d().acquire();
-      co_await sim.wait(seconds(gpu.link_seconds(bytes)));
-    }
-    req->charge(Stage::kTransfer, sim.now() - t0);
-    req->staged = gpu.stager().stage(bytes);
-    enqueue_inference(g, std::move(req));
-    co_return;
-  }
-
-  // GPU preprocessing path: only the compressed JPEG crosses PCIe (or, on an
-  // image-level cache hit, the host-cached decoded RGB — larger on the wire,
-  // but the device skips its decode), then the image joins a DALI-style
-  // batched pipeline on the device.
-  {
-    const std::int64_t bytes = hit == CacheLevel::kImage ? req->image.decoded_bytes()
+  // One transfer. GPU preprocessing ships only the compressed JPEG (or, on
+  // an image-level hit, the host-cached decoded RGB — larger on the wire,
+  // but the device skips its decode); every other route ships the fp32
+  // tensor (~5x a medium JPEG — the paper's F7 ingress trade). A host-side
+  // tensor on the CPU deployment rides the batched staging path to the
+  // device at dispatch instead of crossing PCIe here.
+  const bool host_hop = tensor_in || gpu_deploy;
+  const bool device_hop = config_.mode == PipelineMode::kInferenceOnly || gpu_deploy;
+  const std::int64_t bytes = !gpu_pre                    ? config_.model.input_tensor_bytes()
+                             : hit == CacheLevel::kImage ? req->image.decoded_bytes()
                                                          : req->image.compressed_bytes;
+  if (host_hop) {
     const Time t0 = sim.now();
     {
       auto host = co_await platform_.host_link().acquire();
       co_await sim.wait(seconds(platform_.host_link_seconds(bytes)));
     }
-    {
+    if (device_hop) {
       auto copy = co_await gpu.copy_h2d().acquire();
       co_await sim.wait(seconds(gpu.link_seconds(bytes)));
     }
     req->charge(Stage::kTransfer, sim.now() - t0);
   }
-  req->enqueue_time = sim.now();
-  hand_off(gpus_[g]->preproc_batcher.input(), g, std::move(req), "gpu-preprocess");
+  if (gpu_pre) {
+    // The image joins a DALI-style batched pipeline on the device.
+    req->enqueue_time = sim.now();
+    hand_off(gpus_[g]->preproc_batcher.input(), g, std::move(req), "gpu-preprocess");
+    co_return;
+  }
+  if (device_hop) req->staged = gpu.stager().stage(bytes);
+  enqueue_inference(g, std::move(req));
 }
 
 sim::Process InferenceServer::gpu_preproc_loop(std::size_t g) {
@@ -589,21 +501,14 @@ sim::Process InferenceServer::run_gpu_preproc_batch(std::size_t g, std::vector<R
                                                     sim::ResourceToken pipeline) {
   auto& sim = platform_.sim();
   auto& gpu = platform_.gpu(g);
-  // GPU failure window: with a resilience policy on, the batch holds (the
-  // pipeline token stays taken, modelling a wedged pipeline) until recovery;
-  // without one it fails outright. The wait is charged as queue residue when
-  // requests are next charged, since `start` is taken after the hold.
-  bool fault_held = false;
-  while (gpu.failed_now()) {
-    if (!resilient_hold()) {
-      pipeline.release();
-      for (auto& r : batch) fail_request(g, std::move(r), FailReason::kGpuFault);
-      co_return;
-    }
-    fault_held = true;
-    const Time until =
-        gpu.faults()->active_until(sim::FaultKind::kGpuFailure, gpu.index(), sim.now());
-    co_await sim.wait(std::max<Time>(until - sim.now(), 1));
+  // A held batch keeps the pipeline token (a wedged pipeline). The wait is
+  // charged as queue residue when requests are next charged, since `start`
+  // is taken after the hold.
+  const bool fault_held = gpu.failed_now();
+  if (fault_held && !co_await hold_through_gpu_fault(gpu)) {
+    pipeline.release();
+    for (auto& r : batch) fail_request(g, std::move(r), FailReason::kGpuFault);
+    co_return;
   }
   const Time start = sim.now();
   const std::string_view preproc_blame =
@@ -661,23 +566,13 @@ sim::Process InferenceServer::inference_loop(std::size_t g) {
       co_await ready.wait();
     }
     if (batch.empty()) break;  // input closed
-    // GPU failure window: hold the dispatched batch until the GPU recovers
-    // (resilience policy on — the wait lands in the queue stage because
-    // dispatch accounting happens below) or fail it (no policy).
-    bool batch_failed = false;
-    bool fault_held = false;
-    while (gpu.failed_now()) {
-      if (!resilient_hold()) {
-        for (auto& r : batch) fail_request(g, std::move(r), FailReason::kGpuFault);
-        batch_failed = true;
-        break;
-      }
-      fault_held = true;
-      const Time until =
-          gpu.faults()->active_until(sim::FaultKind::kGpuFailure, gpu.index(), sim.now());
-      co_await sim.wait(std::max<Time>(until - sim.now(), 1));
+    // A held batch's wait lands in the queue stage: dispatch accounting
+    // happens below.
+    const bool fault_held = gpu.failed_now();
+    if (fault_held && !co_await hold_through_gpu_fault(gpu)) {
+      for (auto& r : batch) fail_request(g, std::move(r), FailReason::kGpuFault);
+      continue;
     }
-    if (batch_failed) continue;
     // Admission control: shed requests that already blew the deadline — or
     // were cancelled by a hedging balancer — before spending GPU time on
     // them. Both paths drop-account, so the auditor conserves them.
@@ -815,6 +710,17 @@ sim::Process InferenceServer::inference_loop(std::size_t g) {
 
     for (auto& r : batch) sim.spawn(finish_request(std::move(r)));
   }
+}
+
+sim::Task<bool> InferenceServer::hold_through_gpu_fault(hw::GpuModel& gpu) {
+  if (!resilient_hold()) co_return false;
+  auto& sim = platform_.sim();
+  while (gpu.failed_now()) {
+    const Time until =
+        gpu.faults()->active_until(sim::FaultKind::kGpuFailure, gpu.index(), sim.now());
+    co_await sim.wait(std::max<Time>(until - sim.now(), 1));
+  }
+  co_return true;
 }
 
 void InferenceServer::release_early(std::size_t g, Request& req, std::string_view blame) {

@@ -8,6 +8,27 @@
 //
 // Every stage charges virtual time to the request's StageTimes so the
 // paper's breakdown figures can be regenerated exactly.
+//
+// handle_request decides each request's route once, after ingest and the
+// ingress-cache probe, and then runs each step at most once:
+//
+//   route                   preprocess   transfer               then
+//   tensor-in (1)           -            host+PCIe, tensor (2)  stage -> inference
+//   CPU deployment          CPU pool (3) -                      inference
+//   degraded GPU (4)        CPU pool (3) host+PCIe, tensor      stage -> inference
+//   GPU, tensor-level hit   -            host+PCIe, tensor      stage -> inference
+//   GPU preprocessing       -            host+PCIe, JPEG (5)    preprocessing batcher
+//
+//   (1) inference-only mode, or a raw-tensor request; the cache is not probed
+//   (2) a raw tensor on the CPU deployment takes only the host hop and is
+//       not staged: it rides the batched staging path at dispatch
+//   (3) skipped on a tensor-level hit; an image-level hit skips decode
+//   (4) the GPU is in (or within the hysteresis of) a failure window and
+//       the degrade policy is on
+//   (5) the decoded image on an image-level hit
+//
+// Preprocess-only mode completes every route but GPU preprocessing right
+// after its preprocess step; the preprocessing batcher completes the last.
 #pragma once
 
 #include <cstdint>
@@ -26,6 +47,7 @@
 #include "serving/request.h"
 #include "serving/stats.h"
 #include "sim/process.h"
+#include "sim/task.h"
 
 namespace serve::serving {
 
@@ -100,6 +122,11 @@ class InferenceServer {
                                      sim::ResourceToken pipeline);
   sim::Process inference_loop(std::size_t g);
   sim::Process finish_request(RequestPtr req);
+  /// GPU failure window, entered only while `gpu.failed_now()`: with a
+  /// resilience policy on, waits out the window (the caller's batch held)
+  /// and returns true; without one returns false and the caller fails its
+  /// batch. The fault-free path never allocates this frame.
+  sim::Task<bool> hold_through_gpu_fault(hw::GpuModel& gpu);
   /// `blame` annotates the residual queue charge ("shed-deadline" for
   /// admission-control drops, "hedge-cancelled" for balancer cancellations).
   void drop_request(std::size_t gpu, RequestPtr req, std::string_view blame = "shed-deadline");

@@ -12,6 +12,7 @@
 #include "serving/batcher.h"
 #include "serving/client.h"
 #include "serving/server.h"
+#include "sim/fault_plan.h"
 
 namespace serve {
 namespace {
@@ -647,6 +648,323 @@ TEST(InferenceServer, InvalidInstanceCountThrows) {
   cfg.model = models::vit_base();
   cfg.instance_count = 0;
   EXPECT_THROW((serving::InferenceServer{platform, cfg}), std::invalid_argument);
+}
+
+// --- Route matrix ---------------------------------------------------------------
+//
+// One zero-load request per route through the server, pinned to its exact
+// charge sequence: "stage end dt blame" per line (virtual ns), then the
+// completion time. Any change to the order of awaits, charges or blames on
+// any route changes a line here. The fault rows also pin both GPU-failure
+// holds: the preprocessing batch's and the inference batch's.
+
+struct ChargeLog final : serving::ChargeObserver {
+  std::string lines;
+  void on_charge(serving::Request& /*req*/, Stage s, sim::Time end, sim::Time dt,
+                 std::string_view blame) noexcept override {
+    lines += std::string(metrics::stage_name(s)) + " " + std::to_string(end) + " " +
+             std::to_string(dt);
+    if (!blame.empty()) lines += " " + std::string(blame);
+    lines += "\n";
+  }
+};
+
+enum class CacheCase : std::uint8_t { kOff, kMiss, kImageHit, kTensorHit };
+/// GPU state when the request arrives: healthy, or in a failure window under
+/// the degrade policy, a hold-until-recovery policy (retry) or no policy.
+enum class FaultCase : std::uint8_t { kHealthy, kDegrade, kHold, kFail };
+
+struct RouteCase {
+  const char* name;
+  PreprocDevice preproc;
+  PipelineMode mode;
+  bool raw_tensor;  ///< the request ships a client-side tensor
+  CacheCase cache;  ///< hits are warmed by an earlier request with the same payload
+  FaultCase fault;
+  const char* expected;
+};
+
+std::string run_route(const RouteCase& c) {
+  constexpr std::uint64_t kHash = 0xC0FFEE;
+  const sim::Time at = sim::seconds(1.0);
+  sim::Simulator sim;
+  sim::FaultPlan plan;
+  if (c.fault != FaultCase::kHealthy) {
+    plan.gpu_failure(0, at - sim::milliseconds(1), at + sim::milliseconds(5));
+  }
+  hw::Platform platform{sim, {.faults = &plan}};
+  serving::ServerConfig cfg;
+  cfg.model = models::vit_base();
+  cfg.preproc = c.preproc;
+  cfg.mode = c.mode;
+  cfg.degrade.enabled = c.fault == FaultCase::kDegrade;
+  cfg.retry.enabled = c.fault == FaultCase::kHold;
+  cfg.ingress_cache.enabled = c.cache != CacheCase::kOff;
+  // With no room for a tensor, a warmed payload can only hit the image level.
+  if (c.cache == CacheCase::kImageHit) cfg.ingress_cache.tensor_budget_bytes = 0;
+  serving::InferenceServer server{platform, cfg};
+
+  const bool warm = c.cache == CacheCase::kImageHit || c.cache == CacheCase::kTensorHit;
+  if (warm) {
+    auto first = std::make_shared<serving::Request>(sim, 1, hw::kMediumImage);
+    first->content_hash = kHash;
+    server.submit(first);
+  }
+  ChargeLog log;
+  serving::RequestPtr req;
+  sim.schedule_at(at, [&] {
+    req = std::make_shared<serving::Request>(sim, 2, hw::kMediumImage);
+    req->content_hash = c.cache == CacheCase::kOff ? 0 : kHash;
+    if (c.raw_tensor) req->ingress = serving::RequestIngress::kRawTensor;
+    req->observer = &log;
+    server.submit(req);
+  });
+  sim.run();
+  server.shutdown();
+  if (req == nullptr || !req->done.is_set()) return "not done\n" + log.lines;
+  return log.lines + "done " + std::to_string(req->completed) +
+         (req->failed || req->dropped ? " not-ok" : "") + "\n";
+}
+
+TEST(InferenceServer, RouteMatrixPinsEveryRoutesChargeSequence) {
+  using enum CacheCase;
+  using enum FaultCase;
+  constexpr auto kCpu = PreprocDevice::kCpu;
+  constexpr auto kGpu = PreprocDevice::kGpu;
+  constexpr auto kE2e = PipelineMode::kEndToEnd;
+  constexpr auto kPre = PipelineMode::kPreprocessOnly;
+  constexpr auto kInf = PipelineMode::kInferenceOnly;
+  const RouteCase cases[] = {
+      {"inference-only-cpu", kCpu, kInf, false, kOff, kHealthy,
+       "queue 1000000000 0 host-core\n"
+       "ingest 1000250000 250000\n"
+       "transfer 1000441568 191568\n"
+       "queue 1000441568 0 batch-formation batch=1 size=1\n"
+       "queue 1000591568 150000 dispatch-gap\n"
+       "queue 1000591568 0 engine-wait\n"
+       "inference 1002709295 2117727\n"
+       "transfer 1002724801 15506\n"
+       "queue 1002724801 0 host-core\n"
+       "postprocess 1002824801 100000\n"
+       "done 1002824801\n"},
+      {"inference-only-gpu", kGpu, kInf, false, kOff, kHealthy,
+       "queue 1000000000 0 host-core\n"
+       "ingest 1000250000 250000\n"
+       "transfer 1000441568 191568\n"
+       "queue 1000441568 0 batch-formation batch=1 size=1\n"
+       "queue 1000591568 150000 dispatch-gap\n"
+       "queue 1000591568 0 engine-wait\n"
+       "inference 1002709295 2117727\n"
+       "transfer 1002724801 15506\n"
+       "queue 1002724801 0 host-core\n"
+       "postprocess 1002824801 100000\n"
+       "done 1002824801\n"},
+      {"raw-tensor-cpu", kCpu, kE2e, true, kOff, kHealthy,
+       "queue 1000000000 0 host-core\n"
+       "ingest 1000250000 250000\n"
+       "transfer 1000350352 100352\n"
+       "queue 1000350352 0 batch-formation batch=1 size=1\n"
+       "queue 1000700352 350000 cpu-staging-stall\n"
+       "transfer 1000820352 120000\n"
+       "queue 1000820352 0 engine-wait\n"
+       "inference 1002938079 2117727\n"
+       "transfer 1002953585 15506\n"
+       "queue 1002953585 0 host-core\n"
+       "postprocess 1003053585 100000\n"
+       "done 1003053585\n"},
+      {"raw-tensor-gpu", kGpu, kE2e, true, kOff, kHealthy,
+       "queue 1000000000 0 host-core\n"
+       "ingest 1000250000 250000\n"
+       "transfer 1000441568 191568\n"
+       "queue 1000441568 0 batch-formation batch=1 size=1\n"
+       "queue 1000591568 150000 dispatch-gap\n"
+       "queue 1000591568 0 engine-wait\n"
+       "inference 1002771080 2179512\n"
+       "transfer 1002786586 15506\n"
+       "queue 1002786586 0 host-core\n"
+       "postprocess 1002886586 100000\n"
+       "done 1002886586\n"},
+      {"raw-tensor-preprocess-only", kGpu, kPre, true, kOff, kHealthy,
+       "queue 1000000000 0 host-core\n"
+       "ingest 1000250000 250000\n"
+       "queue 1000250000 0 host-core\n"
+       "postprocess 1000350000 100000\n"
+       "done 1000350000\n"},
+      {"cpu-miss", kCpu, kE2e, false, kMiss, kHealthy,
+       "queue 1000000000 0 host-core\n"
+       "ingest 1000250000 250000\n"
+       "preprocess 1000270000 20000 ingress-cache-miss\n"
+       "queue 1000270000 0 preproc-worker\n"
+       "preprocess 1003941850 3671850\n"
+       "queue 1003941850 0 batch-formation batch=1 size=1\n"
+       "queue 1004291850 350000 cpu-staging-stall\n"
+       "transfer 1004411850 120000\n"
+       "queue 1004411850 0 engine-wait\n"
+       "inference 1006529577 2117727\n"
+       "transfer 1006545083 15506\n"
+       "queue 1006545083 0 host-core\n"
+       "postprocess 1006645083 100000\n"
+       "done 1006645083\n"},
+      {"cpu-image-hit", kCpu, kE2e, false, kImageHit, kHealthy,
+       "queue 1000000000 0 host-core\n"
+       "ingest 1000250000 250000\n"
+       "preprocess 1000270000 20000 ingress-cache-hit level=image\n"
+       "queue 1000270000 0 preproc-worker\n"
+       "preprocess 1001080008 810008\n"
+       "queue 1001080008 0 batch-formation batch=2 size=1\n"
+       "queue 1001430008 350000 cpu-staging-stall\n"
+       "transfer 1001550008 120000\n"
+       "queue 1001550008 0 engine-wait\n"
+       "inference 1003667735 2117727\n"
+       "transfer 1003683241 15506\n"
+       "queue 1003683241 0 host-core\n"
+       "postprocess 1003783241 100000\n"
+       "done 1003783241\n"},
+      {"cpu-tensor-hit", kCpu, kE2e, false, kTensorHit, kHealthy,
+       "queue 1000000000 0 host-core\n"
+       "ingest 1000250000 250000\n"
+       "preprocess 1000270000 20000 ingress-cache-hit level=tensor\n"
+       "queue 1000270000 0 batch-formation batch=2 size=1\n"
+       "queue 1000620000 350000 cpu-staging-stall\n"
+       "transfer 1000740000 120000\n"
+       "queue 1000740000 0 engine-wait\n"
+       "inference 1002857727 2117727\n"
+       "transfer 1002873233 15506\n"
+       "queue 1002873233 0 host-core\n"
+       "postprocess 1002973233 100000\n"
+       "done 1002973233\n"},
+      {"gpu-miss", kGpu, kE2e, false, kMiss, kHealthy,
+       "queue 1000000000 0 host-core\n"
+       "ingest 1000250000 250000\n"
+       "preprocess 1000270000 20000 ingress-cache-miss\n"
+       "transfer 1000321334 51334\n"
+       "queue 1000321334 0 preproc-batch-formation\n"
+       "preprocess 1002969771 2648437\n"
+       "queue 1002969771 0 batch-formation batch=1 size=1\n"
+       "queue 1003119771 150000 dispatch-gap\n"
+       "queue 1003119771 0 engine-wait\n"
+       "inference 1005299283 2179512\n"
+       "transfer 1005314789 15506\n"
+       "queue 1005314789 0 host-core\n"
+       "postprocess 1005414789 100000\n"
+       "done 1005414789\n"},
+      {"gpu-image-hit", kGpu, kE2e, false, kImageHit, kHealthy,
+       "queue 1000000000 0 host-core\n"
+       "ingest 1000250000 250000\n"
+       "preprocess 1000270000 20000 ingress-cache-hit level=image\n"
+       "transfer 1000449952 179952\n"
+       "queue 1000449952 0 preproc-batch-formation\n"
+       "preprocess 1003023389 2573437\n"
+       "queue 1003023389 0 batch-formation batch=2 size=1\n"
+       "queue 1003173389 150000 dispatch-gap\n"
+       "queue 1003173389 0 engine-wait\n"
+       "inference 1005352901 2179512\n"
+       "transfer 1005368407 15506\n"
+       "queue 1005368407 0 host-core\n"
+       "postprocess 1005468407 100000\n"
+       "done 1005468407\n"},
+      {"gpu-tensor-hit", kGpu, kE2e, false, kTensorHit, kHealthy,
+       "queue 1000000000 0 host-core\n"
+       "ingest 1000250000 250000\n"
+       "preprocess 1000270000 20000 ingress-cache-hit level=tensor\n"
+       "transfer 1000461568 191568\n"
+       "queue 1000461568 0 batch-formation batch=2 size=1\n"
+       "queue 1000611568 150000 dispatch-gap\n"
+       "queue 1000611568 0 engine-wait\n"
+       "inference 1002791080 2179512\n"
+       "transfer 1002806586 15506\n"
+       "queue 1002806586 0 host-core\n"
+       "postprocess 1002906586 100000\n"
+       "done 1002906586\n"},
+      {"degraded-miss", kGpu, kE2e, false, kMiss, kDegrade,
+       "queue 1000000000 0 host-core\n"
+       "ingest 1000250000 250000\n"
+       "preprocess 1000270000 20000 ingress-cache-miss\n"
+       "queue 1000270000 0 preproc-worker;degraded\n"
+       "preprocess 1003941850 3671850\n"
+       "transfer 1004133418 191568\n"
+       "queue 1005000000 866582 batch-formation batch=1 size=1;gpu-fault-hold\n"
+       "queue 1005150000 150000 dispatch-gap\n"
+       "queue 1005150000 0 engine-wait\n"
+       "inference 1007329512 2179512\n"
+       "transfer 1007345018 15506\n"
+       "queue 1007345018 0 host-core\n"
+       "postprocess 1007445018 100000\n"
+       "done 1007445018\n"},
+      {"degraded-tensor-hit", kGpu, kE2e, false, kTensorHit, kDegrade,
+       "queue 1000000000 0 host-core\n"
+       "ingest 1000250000 250000\n"
+       "preprocess 1000270000 20000 ingress-cache-hit level=tensor\n"
+       "transfer 1000461568 191568\n"
+       "queue 1005000000 4538432 batch-formation batch=2 size=1;gpu-fault-hold\n"
+       "queue 1005150000 150000 dispatch-gap\n"
+       "queue 1005150000 0 engine-wait\n"
+       "inference 1007329512 2179512\n"
+       "transfer 1007345018 15506\n"
+       "queue 1007345018 0 host-core\n"
+       "postprocess 1007445018 100000\n"
+       "done 1007445018\n"},
+      {"gpu-fault-hold", kGpu, kE2e, false, kOff, kHold,
+       "queue 1000000000 0 host-core\n"
+       "ingest 1000250000 250000\n"
+       "transfer 1000301334 51334\n"
+       "queue 1005000000 4698666 preproc-batch-formation;gpu-fault-hold\n"
+       "preprocess 1007648437 2648437\n"
+       "queue 1007648437 0 batch-formation batch=1 size=1\n"
+       "queue 1007798437 150000 dispatch-gap\n"
+       "queue 1007798437 0 engine-wait\n"
+       "inference 1009977949 2179512\n"
+       "transfer 1009993455 15506\n"
+       "queue 1009993455 0 host-core\n"
+       "postprocess 1010093455 100000\n"
+       "done 1010093455\n"},
+      {"gpu-fault-fail", kGpu, kE2e, false, kOff, kFail,
+       "queue 1000000000 0 host-core\n"
+       "ingest 1000250000 250000\n"
+       "transfer 1000301334 51334\n"
+       "done 1000301334 not-ok\n"},
+      {"inference-fault-fail", kGpu, kInf, false, kOff, kFail,
+       "queue 1000000000 0 host-core\n"
+       "ingest 1000250000 250000\n"
+       "transfer 1000441568 191568\n"
+       "done 1000441568 not-ok\n"},
+      {"preprocess-only-cpu", kCpu, kPre, false, kOff, kHealthy,
+       "queue 1000000000 0 host-core\n"
+       "ingest 1000250000 250000\n"
+       "queue 1000250000 0 preproc-worker\n"
+       "preprocess 1003921850 3671850\n"
+       "queue 1003921850 0 host-core\n"
+       "postprocess 1004021850 100000\n"
+       "done 1004021850\n"},
+      {"preprocess-only-gpu", kGpu, kPre, false, kOff, kHealthy,
+       "queue 1000000000 0 host-core\n"
+       "ingest 1000250000 250000\n"
+       "transfer 1000301334 51334\n"
+       "queue 1000301334 0 preproc-batch-formation\n"
+       "preprocess 1002949771 2648437\n"
+       "queue 1002949771 0 host-core\n"
+       "postprocess 1003049771 100000\n"
+       "done 1003049771\n"},
+      {"preprocess-only-degraded", kGpu, kPre, false, kOff, kDegrade,
+       "queue 1000000000 0 host-core\n"
+       "ingest 1000250000 250000\n"
+       "queue 1000250000 0 preproc-worker;degraded\n"
+       "preprocess 1003921850 3671850\n"
+       "queue 1003921850 0 host-core\n"
+       "postprocess 1004021850 100000\n"
+       "done 1004021850\n"},
+      {"preprocess-only-tensor-hit", kGpu, kPre, false, kTensorHit, kHealthy,
+       "queue 1000000000 0 host-core\n"
+       "ingest 1000250000 250000\n"
+       "preprocess 1000270000 20000 ingress-cache-hit level=tensor\n"
+       "queue 1000270000 0 host-core\n"
+       "postprocess 1000370000 100000\n"
+       "done 1000370000\n"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    EXPECT_EQ(run_route(c), c.expected);
+  }
 }
 
 TEST(ConfigFile, InstanceCountRoundTrip) {

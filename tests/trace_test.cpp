@@ -179,19 +179,6 @@ TEST(TraceSampler, HashModeIsDeterministicAcrossInstances) {
   EXPECT_GT(diff, 0u);
 }
 
-TEST(TraceSampler, StrideAndFirstNModes) {
-  trace::TraceSampler stride{{.mode = trace::SampleMode::kStride, .stride = 10, .phase = 3,
-                              .max_sampled = 1000}};
-  EXPECT_TRUE(stride.sample(3));
-  EXPECT_TRUE(stride.sample(13));
-  EXPECT_FALSE(stride.sample(14));
-  trace::TraceSampler first{{.mode = trace::SampleMode::kFirstN, .max_sampled = 2}};
-  EXPECT_TRUE(first.sample(100));
-  EXPECT_TRUE(first.sample(200));
-  EXPECT_FALSE(first.sample(300));  // capped
-  EXPECT_EQ(first.sampled_count(), 2u);
-}
-
 TEST(TraceSampler, MaxSampledCapsEveryMode) {
   trace::TraceSampler s{{.rate = 1.0, .max_sampled = 3}};
   std::uint64_t taken = 0;
