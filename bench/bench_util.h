@@ -53,6 +53,14 @@ inline int print_checks(const std::vector<ShapeCheck>& checks) {
   return failures;
 }
 
+/// Prints a figure that varies run to run (the bench's own wall-clock cost)
+/// on a line of its own behind a fixed marker. bench/check_outputs.cmake
+/// drops these lines before hashing, so such a bench can still sit in the
+/// bench equivalence manifest.
+inline void print_wall_clock(const std::string& figure) {
+  std::printf("[wall-clock] %s\n", figure.c_str());
+}
+
 inline void print_table(const metrics::Table& table) {
   table.print(std::cout);
   std::cout.flush();

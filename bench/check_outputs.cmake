@@ -6,7 +6,8 @@
 #   cmake ... -DUPDATE=ON -P bench/check_outputs.cmake   # rewrite the hashes
 #
 # Manifest lines are "<sha256>  <bench>"; lines starting with '#' are kept
-# verbatim. A bench that exits nonzero fails the check in either mode.
+# verbatim. Stdout lines starting with "[wall-clock]" are dropped before
+# hashing. A bench that exits nonzero fails the check in either mode.
 cmake_minimum_required(VERSION 3.20)
 
 if(NOT BENCH_DIR OR NOT MANIFEST)
@@ -31,6 +32,9 @@ foreach(line IN LISTS lines)
   if(NOT rc EQUAL 0)
     message(FATAL_ERROR "${bench} exited with ${rc}")
   endif()
+  # Run-dependent wall-clock figures sit on "[wall-clock] ..." lines
+  # (bench::print_wall_clock); they are not part of the hashed output.
+  string(REGEX REPLACE "\n\\[wall-clock\\][^\n]*" "" out "${out}")
   string(SHA256 actual "${out}")
   string(APPEND rewritten "${actual}  ${bench}\n")
   if(NOT actual STREQUAL expected)

@@ -244,6 +244,13 @@ void FileLogBroker::index_segment(std::size_t seg_idx) {
     pos += kHeaderBytes + len;
   }
   ::close(fd);
+  if (!is_tail_segment && pos < opts_.segment_bytes) {
+    // The writer rolls a segment only once it holds segment_bytes, so a
+    // shorter sealed segment lost records off its end: a hole in the middle
+    // of the log, never a torn tail — even when the cut falls exactly on a
+    // record boundary and every remaining record checks out.
+    throw std::runtime_error("FileLogBroker: sealed segment shorter than segment_bytes");
+  }
   if (is_tail_segment) active_bytes_ = pos;
 }
 

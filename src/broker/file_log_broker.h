@@ -23,7 +23,10 @@ class FileLogBroker {
  public:
   struct Options {
     std::filesystem::path dir;             ///< log directory (created if absent)
-    std::uint64_t segment_bytes = 1 << 20; ///< roll to a new segment beyond this
+    /// Roll to a new segment beyond this. Recovery holds every sealed
+    /// segment to at least this size (a shorter one was truncated), so
+    /// reopen a log with the value it was written with, or a smaller one.
+    std::uint64_t segment_bytes = 1 << 20;
     std::uint32_t fsync_interval = 1;      ///< fsync every N appends (1 = per message)
     /// Kafka-style crash recovery: a torn record at the *tail* of the last
     /// segment (short header, or a body that extends past EOF — the shapes
@@ -75,7 +78,9 @@ class FileLogBroker {
   [[nodiscard]] std::uint64_t fsync_count() const;
 
   /// Re-scans the directory, rebuilding the in-memory index — simulates a
-  /// broker restart. Throws on a corrupt record (bad CRC / truncation).
+  /// broker restart. Throws on a corrupt record (bad CRC / truncation) or a
+  /// sealed segment cut short; what it does not throw on is a byte-identical
+  /// prefix of the published log.
   void recover();
 
   /// CRC32 (IEEE 802.3 polynomial) used to protect records; exposed for

@@ -1,6 +1,7 @@
 #include "metrics/flight_recorder.h"
 
 #include <chrono>
+#include <utility>
 
 namespace serve::metrics {
 
@@ -14,21 +15,35 @@ FlightRecorder::FlightRecorder(Registry& registry, Options opts)
 void FlightRecorder::start(sim::Simulator& sim) {
   running_ = true;
   start_time_ = sim.now();
-  sample(sim.now());
-  ++ticks_;
-  for (auto& fn : listeners_) fn(sim.now(), ticks_ - 1);
+  step(sim.now());
   sim.schedule_after(opts_.period, [this, &sim] { tick(sim); });
 }
 
 void FlightRecorder::tick(sim::Simulator& sim) {
   if (!running_) return;  // stopped while this event was pending
-  sample(sim.now());
-  ++ticks_;
-  for (auto& fn : listeners_) fn(sim.now(), ticks_ - 1);
+  step(sim.now());
   sim.schedule_after(opts_.period, [this, &sim] { tick(sim); });
 }
 
-void FlightRecorder::sample(sim::Time /*now*/) {
+void FlightRecorder::step(sim::Time now) {
+  std::swap(prev_, scratch_);
+  sample();
+  const Tick tick{.now = now,
+                  .index = ticks_,
+                  .dt_s = ticks_ == 0 ? 0.0 : sim::to_seconds(now - prev_now_),
+                  .values = scratch_,
+                  .prev = prev_};
+  ++ticks_;
+  prev_now_ = now;
+  for (auto& l : listeners_) {
+    const auto t0 = std::chrono::steady_clock::now();
+    l.fn(tick);
+    const std::chrono::duration<double> dt = std::chrono::steady_clock::now() - t0;
+    l.self_time.inc(dt.count());
+  }
+}
+
+void FlightRecorder::sample() {
   const auto t0 = std::chrono::steady_clock::now();
   registry_.sample_values(scratch_);  // one lock for the whole tick
   const std::size_t n = scratch_.size();

@@ -9,6 +9,11 @@
 // atomic cell or callback; histograms report their sample count) and appends
 // the value to a per-instrument ring buffer.
 //
+// It is also the one per-tick reader of the registry: listeners (the
+// capacity plane, the alert engine) receive this tick's sample and the one
+// before it, so they difference counters without keeping copies of their
+// own and without reading any instrument a second time.
+//
 // Determinism: ticks run at exact multiples of the period in virtual time on
 // the single simulation thread, so two runs with the same seed produce
 // bit-identical series. The recorder's own cost is accounted in a wall-clock
@@ -26,6 +31,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -34,6 +40,21 @@
 #include "sim/time.h"
 
 namespace serve::metrics {
+
+/// What a tick listener sees: the recorder's sample of every instrument,
+/// indexed in registry registration order, and the one before it. The spans
+/// view the recorder's buffers and are valid only during the listener call.
+struct Tick {
+  sim::Time now = 0;
+  std::uint64_t index = 0;  ///< tick k sampled at start_time() + k * period()
+  double dt_s = 0.0;        ///< seconds since the previous tick; 0 on the first
+  std::span<const double> values;
+  /// Shorter than `values` by the instruments registered since the last
+  /// tick (empty on the first): an index past its end has no baseline yet.
+  std::span<const double> prev;
+
+  [[nodiscard]] bool has_prev(std::size_t i) const noexcept { return i < prev.size(); }
+};
 
 class FlightRecorder {
  public:
@@ -45,9 +66,14 @@ class FlightRecorder {
   explicit FlightRecorder(Registry& registry) : FlightRecorder(registry, Options{}) {}
   FlightRecorder(Registry& registry, Options opts);
 
-  /// Begins sampling: one sample immediately, then every `period` until
+  /// Begins sampling: one step() immediately, then every `period` until
   /// stop(). Must be called from outside the event loop or a sim callback.
   void start(sim::Simulator& sim);
+
+  /// Runs one tick at virtual time `now`: samples every instrument once,
+  /// then hands the sample to each listener. start() drives it on the
+  /// simulator cadence; tests call it directly to script ticks.
+  void step(sim::Time now);
 
   /// Stops sampling (the pending tick becomes a no-op). Idempotent.
   void stop() noexcept { running_ = false; }
@@ -76,16 +102,19 @@ class FlightRecorder {
   /// Wall-clock seconds the recorder spent sampling (self-overhead).
   [[nodiscard]] double self_seconds() const noexcept { return self_time_.value(); }
 
-  /// Called after every sample with the virtual time and the tick index just
-  /// recorded (tick k sampled at start_time() + k * period()). This is the
-  /// evaluation cadence hook the obs::AlertEngine rides: listeners observe a
-  /// fully-sampled registry at exact virtual-time multiples, so anything they
-  /// derive is as deterministic as the series themselves. Listeners must not
-  /// register instruments from inside the callback for the *current* tick
-  /// (they would sample starting next tick anyway) and must outlive the
-  /// recorder's sampling window.
-  using TickListener = std::function<void(sim::Time now, std::uint64_t tick)>;
-  void add_tick_listener(TickListener fn) { listeners_.push_back(std::move(fn)); }
+  /// Listeners run after every sample in attach order and see one Tick
+  /// (tick k sampled at start_time() + k * period()). This is the
+  /// evaluation cadence the obs::CapacityPlane and obs::AlertEngine ride:
+  /// they read the recorder's sample instead of the registry, so anything
+  /// they derive is as deterministic as the series themselves. Listeners
+  /// must not register instruments for the *current* tick (they would be
+  /// sampled from the next tick on) and must outlive the recorder's
+  /// sampling window. The recorder charges each listener's wall-clock time
+  /// to the `self_time` counter it attached with.
+  using TickListener = std::function<void(const Tick&)>;
+  void add_tick_listener(TickListener fn, Counter self_time = {}) {
+    listeners_.push_back({std::move(fn), self_time});
+  }
 
  private:
   struct Ring {
@@ -94,8 +123,13 @@ class FlightRecorder {
     std::vector<double> buf;
   };
 
+  struct Listener {
+    TickListener fn;
+    Counter self_time;
+  };
+
   void tick(sim::Simulator& sim);
-  void sample(sim::Time now);
+  void sample();
 
   Registry& registry_;
   Options opts_;
@@ -103,10 +137,12 @@ class FlightRecorder {
   std::uint64_t ticks_ = 0;
   sim::Time start_time_ = 0;
   std::vector<Ring> rings_;  ///< index-aligned with registry instruments
-  std::vector<double> scratch_;       ///< per-tick bulk-sample buffer (reused)
+  std::vector<double> scratch_;  ///< this tick's bulk sample (reused)
+  std::vector<double> prev_;     ///< the previous tick's sample, swapped with scratch_
+  sim::Time prev_now_ = 0;
   std::vector<std::uint8_t> wall_clock_;  ///< cached per-index wall-clock flag
-  Counter self_time_;        ///< wall-clock seconds spent in sample()
-  std::vector<TickListener> listeners_;
+  Counter self_time_;  ///< wall-clock seconds spent in sample()
+  std::vector<Listener> listeners_;
 };
 
 }  // namespace serve::metrics

@@ -129,28 +129,16 @@ std::size_t Registry::size() const {
   return instruments_.size();
 }
 
-std::size_t Registry::instrument_count() const { return size(); }
-
 Registry::InstrumentInfo Registry::info(std::size_t i) const {
   std::lock_guard lock{mu_};
   const auto& ins = *instruments_.at(i);
   return {ins.name, ins.labels, ins.type, ins.wall_clock};
 }
 
-double Registry::current_value(std::size_t i) const {
-  std::lock_guard lock{mu_};
-  return instruments_.at(i)->value();
-}
-
 void Registry::sample_values(std::vector<double>& out) const {
   std::lock_guard lock{mu_};
   out.resize(instruments_.size());
   for (std::size_t i = 0; i < instruments_.size(); ++i) out[i] = instruments_[i]->value();
-}
-
-Registry::InstrumentSnapshot Registry::snapshot_at(std::size_t i) const {
-  std::lock_guard lock{mu_};
-  return snapshot_one(*instruments_.at(i));
 }
 
 std::pair<std::uint64_t, double> Registry::histogram_count_below(std::size_t i,

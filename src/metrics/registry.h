@@ -198,30 +198,21 @@ class Registry {
     InstrumentType type;
     bool wall_clock;
   };
-  [[nodiscard]] std::size_t instrument_count() const;
   [[nodiscard]] InstrumentInfo info(std::size_t i) const;
-  /// Sampled value of instrument `i` (histograms report their count).
-  [[nodiscard]] double current_value(std::size_t i) const;
 
-  /// Bulk read: resizes `out` to instrument_count() and fills every
-  /// instrument's sampled value (registration order) under one lock. The
-  /// flight recorder's per-tick path — one lock per tick instead of two
-  /// per instrument.
+  /// Bulk read: resizes `out` to size() and fills every instrument's sampled
+  /// value (registration order; histograms report their count) under one
+  /// lock. The flight recorder's per-tick read, which its listeners share.
   void sample_values(std::vector<double>& out) const;
 
   /// Looks an instrument up by exact name + labels; nullopt when absent.
   [[nodiscard]] std::optional<InstrumentSnapshot> find(const std::string& name,
                                                       const Labels& labels = {}) const;
 
-  /// Full snapshot of instrument `i` (registration order). The alert
-  /// engine's burn-rate rules use this to read histogram buckets on the
-  /// flight-recorder cadence without snapshotting the whole registry.
-  [[nodiscard]] InstrumentSnapshot snapshot_at(std::size_t i) const;
-
   /// (total count, samples <= threshold) for histogram instrument `i`;
   /// {0, 0} when `i` is not a histogram. Allocation-free — this is the alert
-  /// engine's per-tick burn-rate read, where snapshot_at()'s string/bucket
-  /// copies would dominate the engine's self-time.
+  /// engine's per-tick burn-rate read: bucket counts are not part of the
+  /// recorder's sample.
   [[nodiscard]] std::pair<std::uint64_t, double> histogram_count_below(std::size_t i,
                                                                        double threshold) const;
 

@@ -1,7 +1,6 @@
 #include "obs/alert_engine.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <ostream>
 #include <sstream>
@@ -32,6 +31,11 @@ AlertEngine::AlertEngine(metrics::Registry& registry) : registry_(registry) {
   self_time_ = registry_.wall_clock_counter("obs_alert_engine_self_seconds_total");
 }
 
+AlertEngine::AlertCounters AlertEngine::counters_for(const std::string& rule_name) {
+  return {registry_.counter("obs_alerts_fired_total", {{"alert", rule_name}}),
+          registry_.counter("obs_alerts_resolved_total", {{"alert", rule_name}})};
+}
+
 void AlertEngine::add_threshold(ThresholdRule rule) {
   const bool has_above = std::isfinite(rule.fire_above);
   const bool has_below = std::isfinite(rule.fire_below);
@@ -40,8 +44,8 @@ void AlertEngine::add_threshold(ThresholdRule rule) {
                                 "': set exactly one of fire_above / fire_below");
   }
   ThresholdState st;
-  st.fired = registry_.counter("obs_alerts_fired_total", {{"alert", rule.name}});
-  st.resolved = registry_.counter("obs_alerts_resolved_total", {{"alert", rule.name}});
+  st.counters = counters_for(rule.name);
+  st.match = {rule.instrument, rule.label_filter};
   st.rule = std::move(rule);
   thresholds_.push_back(std::move(st));
 }
@@ -55,16 +59,18 @@ void AlertEngine::add_burn_rate(BurnRateRule rule) {
                                 "': require 0 < short_window_ticks <= long_window_ticks");
   }
   BurnState st;
-  st.fired = registry_.counter("obs_alerts_fired_total", {{"alert", rule.name}});
-  st.resolved = registry_.counter("obs_alerts_resolved_total", {{"alert", rule.name}});
+  st.counters = counters_for(rule.name);
+  st.match = {rule.histogram, rule.label_filter};
   st.rule = std::move(rule);
   burns_.push_back(std::move(st));
 }
 
 void AlertEngine::add_stall(StallRule rule) {
   StallState st;
-  st.fired = registry_.counter("obs_alerts_fired_total", {{"alert", rule.name}});
-  st.resolved = registry_.counter("obs_alerts_resolved_total", {{"alert", rule.name}});
+  st.counters = counters_for(rule.name);
+  // Name-only rules: they watch unlabeled instruments.
+  st.progress = {rule.progress, {}, /*unlabeled=*/true};
+  st.armed = {rule.armed_gauge, {}, /*unlabeled=*/true};
   st.rule = std::move(rule);
   stalls_.push_back(std::move(st));
 }
@@ -74,17 +80,17 @@ void AlertEngine::add_littles_law(LittleLawRule rule) {
     throw std::invalid_argument("LittleLawRule '" + rule.name + "': tolerance must be > 0");
   }
   LittleState st;
-  st.fired = registry_.counter("obs_alerts_fired_total", {{"alert", rule.name}});
-  st.resolved = registry_.counter("obs_alerts_resolved_total", {{"alert", rule.name}});
+  st.counters = counters_for(rule.name);
   st.deviation_ticks =
       registry_.counter("obs_little_law_deviation_ticks_total", {{"alert", rule.name}});
+  st.occ = {rule.occupancy_integral, rule.label_filter};
+  st.lat = {rule.latency_sum, rule.label_filter};
   st.rule = std::move(rule);
   littles_.push_back(std::move(st));
 }
 
 void AlertEngine::attach(metrics::FlightRecorder& recorder) {
-  recorder.add_tick_listener(
-      [this](sim::Time now, std::uint64_t tick) { evaluate(now, tick); });
+  recorder.add_tick_listener([this](const metrics::Tick& tick) { evaluate(tick); }, self_time_);
 }
 
 void AlertEngine::set_triggered_sampler(trace::TraceSampler* sampler, int hold_ticks) {
@@ -98,42 +104,17 @@ void AlertEngine::release_triggered_sampler() noexcept {
   capture_on_ = false;
 }
 
-bool AlertEngine::matches(const metrics::Labels& labels, const metrics::Labels& filter) const {
-  for (const auto& want : filter) {
-    bool found = false;
-    for (const auto& have : labels) {
-      if (have == want) {
-        found = true;
-        break;
-      }
-    }
-    if (!found) return false;
-  }
-  return true;
-}
-
-void AlertEngine::scan_new_instruments(ThresholdState& st, std::size_t n) {
-  for (std::size_t i = st.scanned_until; i < n; ++i) {
+void AlertEngine::scan(Matcher& m, std::size_t n) const {
+  for (std::size_t i = m.scanned_until; i < n; ++i) {
     const auto info = registry_.info(i);
-    if (info.wall_clock || info.name != st.rule.instrument) continue;
-    if (!matches(info.labels, st.rule.label_filter)) continue;
-    st.matched.push_back(i);
-    st.per_state.emplace_back();
-    st.prev_value.push_back(0.0);
-    st.have_prev.push_back(false);
+    if (info.wall_clock || info.name != m.name) continue;
+    if (m.unlabeled_only && !info.labels.empty()) continue;
+    const bool has_filter = std::all_of(m.filter.begin(), m.filter.end(), [&](const auto& want) {
+      return std::find(info.labels.begin(), info.labels.end(), want) != info.labels.end();
+    });
+    if (has_filter) m.matched.push_back(i);
   }
-  st.scanned_until = n;
-}
-
-void AlertEngine::scan_new_instruments(BurnState& st, std::size_t n) {
-  for (std::size_t i = st.scanned_until; i < n; ++i) {
-    const auto info = registry_.info(i);
-    if (info.wall_clock || info.type != metrics::InstrumentType::kHistogram) continue;
-    if (info.name != st.rule.histogram) continue;
-    if (!matches(info.labels, st.rule.label_filter)) continue;
-    st.matched.push_back(i);
-  }
-  st.scanned_until = n;
+  m.scanned_until = n;
 }
 
 int AlertEngine::step_state(AlertState& state, bool breach, bool clear_ok, int for_ticks,
@@ -171,11 +152,12 @@ std::string AlertEngine::instance_name(const ThresholdRule& rule, std::size_t re
   return rule.name + '{' + flat + '}';
 }
 
-std::string AlertEngine::top_contributors(const std::vector<std::size_t>& matched,
+std::string AlertEngine::top_contributors(const metrics::Tick& tick,
+                                          const std::vector<std::size_t>& matched,
                                           std::size_t limit) const {
   std::vector<std::pair<double, std::size_t>> ranked;
   ranked.reserve(matched.size());
-  for (const std::size_t i : matched) ranked.emplace_back(registry_.current_value(i), i);
+  for (const std::size_t i : matched) ranked.emplace_back(tick.values[i], i);
   // Descending by value; registry index breaks ties so the order (and the
   // log bytes) stay deterministic.
   std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
@@ -201,8 +183,7 @@ std::string AlertEngine::top_contributors(const std::vector<std::size_t>& matche
 }
 
 void AlertEngine::transition(sim::Time now, const std::string& alert, bool firing, double value,
-                             double threshold, std::string detail, metrics::Counter& fired,
-                             metrics::Counter& resolved) {
+                             double threshold, std::string detail, AlertCounters& counters) {
   AlertEvent ev;
   ev.t = now;
   ev.alert = alert;
@@ -213,10 +194,10 @@ void AlertEngine::transition(sim::Time now, const std::string& alert, bool firin
   if (firing) {
     ++active_;
     ++fired_total_;
-    fired.inc();
+    counters.fired.inc();
   } else {
     if (active_ > 0) --active_;
-    resolved.inc();
+    counters.resolved.inc();
   }
   if (trace_ != nullptr) {
     trace_->instant("alerts", alert + (firing ? " firing" : " resolved"), now,
@@ -227,26 +208,21 @@ void AlertEngine::transition(sim::Time now, const std::string& alert, bool firin
   events_.push_back(std::move(ev));
 }
 
-void AlertEngine::evaluate_threshold(ThresholdState& st, sim::Time now, double dt_s,
-                                     std::size_t n) {
-  scan_new_instruments(st, n);
+void AlertEngine::evaluate_threshold(ThresholdState& st, const metrics::Tick& tick) {
+  scan(st.match, tick.values.size());
+  const std::vector<std::size_t>& matched = st.match.matched;
+  st.per_state.resize(matched.size());
   const ThresholdRule& r = st.rule;
   const bool above = std::isfinite(r.fire_above);
   const double fire_level = above ? r.fire_above : r.fire_below;
   const double clear_level = above ? (std::isnan(r.clear_below) ? r.fire_above : r.clear_below)
                                    : (std::isnan(r.clear_above) ? r.fire_below : r.clear_above);
 
-  // Per-instrument signal (value or rate); rate needs a previous sample.
-  // Computed inline per index — this runs every recorder tick, so no
-  // per-tick scratch allocations.
-  const auto signal_at = [&](std::size_t k) -> std::pair<double, bool> {
-    const double v = registry_.current_value(st.matched[k]);
-    if (r.signal == ThresholdRule::Signal::kValue) return {v, true};
-    std::pair<double, bool> out{0.0, false};
-    if (st.have_prev[k] && dt_s > 0.0) out = {(v - st.prev_value[k]) / dt_s, true};
-    st.prev_value[k] = v;
-    st.have_prev[k] = true;
-    return out;
+  // Per-instrument signal (value or rate); a rate needs a baseline.
+  const auto signal_at = [&](std::size_t i) -> std::pair<double, bool> {
+    if (r.signal == ThresholdRule::Signal::kValue) return {tick.values[i], true};
+    if (!tick.has_prev(i) || tick.dt_s <= 0.0) return {0.0, false};
+    return {(tick.values[i] - tick.prev[i]) / tick.dt_s, true};
   };
 
   const auto judge = [&](double v, bool valid) -> std::pair<bool, bool> {
@@ -257,14 +233,14 @@ void AlertEngine::evaluate_threshold(ThresholdState& st, sim::Time now, double d
   };
 
   if (r.agg == ThresholdRule::Agg::kPerInstrument) {
-    for (std::size_t k = 0; k < st.matched.size(); ++k) {
-      const auto [v, valid] = signal_at(k);
+    for (std::size_t k = 0; k < matched.size(); ++k) {
+      const auto [v, valid] = signal_at(matched[k]);
       const auto [breach, clear_ok] = judge(v, valid);
       const int step = step_state(st.per_state[k], breach, clear_ok, r.for_ticks,
                                   r.clear_for_ticks);
       if (step != 0) {
-        transition(now, instance_name(r, st.matched[k]), step > 0, v, fire_level,
-                   top_contributors({st.matched[k]}, 1), st.fired, st.resolved);
+        transition(tick.now, instance_name(r, matched[k]), step > 0, v, fire_level,
+                   top_contributors(tick, {matched[k]}, 1), st.counters);
       }
     }
     return;
@@ -272,8 +248,8 @@ void AlertEngine::evaluate_threshold(ThresholdState& st, sim::Time now, double d
 
   double agg = r.agg == ThresholdRule::Agg::kMax ? -std::numeric_limits<double>::infinity() : 0.0;
   bool any = false;
-  for (std::size_t k = 0; k < st.matched.size(); ++k) {
-    const auto [v, valid] = signal_at(k);
+  for (const std::size_t i : matched) {
+    const auto [v, valid] = signal_at(i);
     if (!valid) continue;
     any = true;
     if (r.agg == ThresholdRule::Agg::kMax) {
@@ -286,20 +262,20 @@ void AlertEngine::evaluate_threshold(ThresholdState& st, sim::Time now, double d
   const auto [breach, clear_ok] = judge(agg, any);
   const int step = step_state(st.agg_state, breach, clear_ok, r.for_ticks, r.clear_for_ticks);
   if (step != 0) {
-    transition(now, r.name, step > 0, agg, fire_level, top_contributors(st.matched), st.fired,
-               st.resolved);
+    transition(tick.now, r.name, step > 0, agg, fire_level, top_contributors(tick, matched),
+               st.counters);
   }
 }
 
-void AlertEngine::evaluate_burn(BurnState& st, sim::Time now, std::size_t n) {
-  scan_new_instruments(st, n);
+void AlertEngine::evaluate_burn(BurnState& st, const metrics::Tick& tick) {
+  scan(st.match, tick.values.size());
   const BurnRateRule& r = st.rule;
 
   // Cumulative (count, over-SLO count) across the matched histograms at this
   // tick; windows difference these cumulative samples, so a flight-recorder
   // ring wrap cannot perturb them — the engine owns its trailing window.
   BurnWindowSample cur;
-  for (const std::size_t i : st.matched) {
+  for (const std::size_t i : st.match.matched) {
     const auto [count, good] = registry_.histogram_count_below(i, r.slo_s);
     cur.count += count;
     cur.bad += static_cast<double>(count) - good;
@@ -328,83 +304,60 @@ void AlertEngine::evaluate_burn(BurnState& st, sim::Time now, std::size_t n) {
     std::string detail = "burn_short=" + metrics::format_double(burn_short) +
                          " burn_long=" + metrics::format_double(burn_long) +
                          " slo_s=" + metrics::format_double(r.slo_s) + ' ' +
-                         top_contributors(st.matched);
-    transition(now, r.name, step > 0, burn_short, r.burn_threshold, std::move(detail), st.fired,
-               st.resolved);
+                         top_contributors(tick, st.match.matched);
+    transition(tick.now, r.name, step > 0, burn_short, r.burn_threshold, std::move(detail),
+               st.counters);
   }
 }
 
-void AlertEngine::scan_new_instruments(StallState& st, std::size_t n) {
-  for (std::size_t i = st.scanned_until; i < n; ++i) {
-    if (st.progress_idx != kNoIndex &&
-        (st.armed_idx != kNoIndex || st.rule.armed_gauge.empty())) {
-      break;  // both resolved; skip the info() walk for late registrations
-    }
-    const auto info = registry_.info(i);
-    if (!info.labels.empty()) continue;  // name-only rules watch unlabeled instruments
-    if (st.progress_idx == kNoIndex && info.name == st.rule.progress) st.progress_idx = i;
-    if (st.armed_idx == kNoIndex && !st.rule.armed_gauge.empty() &&
-        info.name == st.rule.armed_gauge) {
-      st.armed_idx = i;
-    }
-  }
-  st.scanned_until = n;
-}
-
-void AlertEngine::evaluate_stall(StallState& st, sim::Time now, std::size_t n) {
-  scan_new_instruments(st, n);
+void AlertEngine::evaluate_stall(StallState& st, const metrics::Tick& tick) {
+  scan(st.progress, tick.values.size());
   const StallRule& r = st.rule;
-  if (st.progress_idx == kNoIndex) return;
-  const double p = registry_.current_value(st.progress_idx);
+  if (st.progress.matched.empty()) return;
+  const std::size_t p_idx = st.progress.matched.front();
+  const double p = tick.values[p_idx];
   bool armed = true;
   double outstanding = 0.0;
   if (!r.armed_gauge.empty()) {
-    outstanding = st.armed_idx != kNoIndex ? registry_.current_value(st.armed_idx) : 0.0;
+    scan(st.armed, tick.values.size());
+    if (!st.armed.matched.empty()) outstanding = tick.values[st.armed.matched.front()];
     armed = outstanding > r.armed_above;
   }
-  const bool breach = st.have_prev && armed && p == st.prev_progress;
+  const bool breach = tick.has_prev(p_idx) && armed && p == tick.prev[p_idx];
   st.stalled_ticks = breach ? st.stalled_ticks + 1 : 0;
-  st.prev_progress = p;
-  st.have_prev = true;
   const int step = step_state(st.state, breach, !breach, r.for_ticks, r.clear_for_ticks);
   if (step != 0) {
     std::string detail = "progress=" + metrics::format_double(p) +
                          " stalled_ticks=" + std::to_string(st.stalled_ticks) +
                          " outstanding=" + metrics::format_double(outstanding);
-    transition(now, r.name, step > 0, p, 0.0, std::move(detail), st.fired, st.resolved);
+    transition(tick.now, r.name, step > 0, p, 0.0, std::move(detail), st.counters);
   }
 }
 
-void AlertEngine::scan_new_instruments(LittleState& st, std::size_t n) {
-  for (std::size_t i = st.scanned_until; i < n; ++i) {
-    const auto info = registry_.info(i);
-    if (info.wall_clock) continue;
-    if (!matches(info.labels, st.rule.label_filter)) continue;
-    if (info.name == st.rule.occupancy_integral) st.occ_matched.push_back(i);
-    if (info.name == st.rule.latency_sum) st.lat_matched.push_back(i);
-  }
-  st.scanned_until = n;
-}
-
-void AlertEngine::evaluate_little(LittleState& st, sim::Time now, double dt_s, std::size_t n) {
-  scan_new_instruments(st, n);
+void AlertEngine::evaluate_little(LittleState& st, const metrics::Tick& tick) {
+  scan(st.occ, tick.values.size());
+  scan(st.lat, tick.values.size());
   const LittleLawRule& r = st.rule;
-  if (st.occ_matched.empty() || st.lat_matched.empty()) return;
-  double occ = 0.0, lat = 0.0;
-  for (const std::size_t i : st.occ_matched) occ += registry_.current_value(i);
-  for (const std::size_t i : st.lat_matched) lat += registry_.current_value(i);
-  if (!st.have_prev || dt_s <= 0.0) {
-    st.prev_occ = occ;
-    st.prev_lat = lat;
-    st.have_prev = true;
+  const std::vector<std::size_t>& occ = st.occ.matched;
+  const std::vector<std::size_t>& lat = st.lat.matched;
+  // The interval needs a baseline: the first matched instrument of each
+  // kind sampled last tick. Later joiners count from 0.
+  if (occ.empty() || lat.empty() || !tick.has_prev(occ.front()) ||
+      !tick.has_prev(lat.front()) || tick.dt_s <= 0.0) {
     return;
   }
+  const auto growth = [&tick](const std::vector<std::size_t>& matched) {
+    double now = 0.0, before = 0.0;
+    for (const std::size_t i : matched) {
+      now += tick.values[i];
+      if (tick.has_prev(i)) before += tick.prev[i];
+    }
+    return now - before;
+  };
   // L and λW are both time-averages over this tick's interval, derived from
   // monotone counters — immune to sampling phase by construction.
   const LittleSample ls =
-      little_sample(occ - st.prev_occ, lat - st.prev_lat, dt_s, r.tolerance, r.min_occupancy);
-  st.prev_occ = occ;
-  st.prev_lat = lat;
+      little_sample(growth(occ), growth(lat), tick.dt_s, r.tolerance, r.min_occupancy);
   if (ls.violated) st.deviation_ticks.inc();
   const int step =
       step_state(st.state, ls.violated, !ls.violated, r.for_ticks, r.clear_for_ticks);
@@ -412,39 +365,30 @@ void AlertEngine::evaluate_little(LittleState& st, sim::Time now, double dt_s, s
     std::string detail = "L=" + metrics::format_double(ls.l) +
                          " lambda_w=" + metrics::format_double(ls.lambda_w) +
                          " deviation=" + metrics::format_double(ls.deviation);
-    transition(now, r.name, step > 0, ls.deviation, r.tolerance, std::move(detail), st.fired,
-               st.resolved);
+    transition(tick.now, r.name, step > 0, ls.deviation, r.tolerance, std::move(detail),
+               st.counters);
   }
 }
 
-void AlertEngine::evaluate(sim::Time now, std::uint64_t tick) {
-  const auto t0 = std::chrono::steady_clock::now();
-  const double dt_s = have_prev_tick_ ? sim::to_seconds(now - prev_tick_time_) : 0.0;
-  const std::size_t n = registry_.instrument_count();  // one lock for all scans
-
-  for (auto& st : thresholds_) evaluate_threshold(st, now, dt_s, n);
-  for (auto& st : burns_) evaluate_burn(st, now, n);
-  for (auto& st : stalls_) evaluate_stall(st, now, n);
-  for (auto& st : littles_) evaluate_little(st, now, dt_s, n);
+void AlertEngine::evaluate(const metrics::Tick& tick) {
+  for (auto& st : thresholds_) evaluate_threshold(st, tick);
+  for (auto& st : burns_) evaluate_burn(st, tick);
+  for (auto& st : stalls_) evaluate_stall(st, tick);
+  for (auto& st : littles_) evaluate_little(st, tick);
 
   active_gauge_.set(static_cast<double>(active_));
-  prev_tick_time_ = now;
-  have_prev_tick_ = true;
 
   if (sampler_ != nullptr) {
     if (active_ > 0) {
-      last_active_tick_ = tick;
+      last_active_tick_ = tick.index;
       capture_on_ = true;
     } else if (capture_on_ &&
-               tick > last_active_tick_ + static_cast<std::uint64_t>(capture_hold_ticks_)) {
+               tick.index > last_active_tick_ + static_cast<std::uint64_t>(capture_hold_ticks_)) {
       capture_on_ = false;
     }
     sampler_->set_forced(capture_on_);
     if (capture_on_) ++capture_ticks_;
   }
-
-  const std::chrono::duration<double> dt = std::chrono::steady_clock::now() - t0;
-  self_time_.inc(dt.count());
 }
 
 bool AlertEngine::ever_fired(const std::string& alert) const {

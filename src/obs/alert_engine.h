@@ -37,9 +37,12 @@
 // (triggered capture) for the alert window plus a hold-off, so the causal
 // traces of the anomalous interval are captured wholesale.
 //
-// Self-cost is measured into a wall-clock counter
-// (obs_alert_engine_self_seconds_total), excluded from deterministic exports
-// like the recorder's own self-time.
+// Rules read the recorder's per-tick sample (and the one before it for
+// rates and interval audits), never the registry: only burn-rate rules make
+// their own read, of histogram bucket counts, which the sample does not
+// carry. The recorder times the engine into a wall-clock counter
+// (obs_alert_engine_self_seconds_total), excluded from deterministic
+// exports like the recorder's own self-time.
 #pragma once
 
 #include <cstddef>
@@ -48,6 +51,7 @@
 #include <iosfwd>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "metrics/flight_recorder.h"
@@ -66,8 +70,8 @@ struct ThresholdRule {
   metrics::Labels label_filter;  ///< subset match; empty matches all instances
 
   /// kValue watches the sampled value (gauges); kRate watches the per-second
-  /// derivative between consecutive ticks (counters). The first tick after a
-  /// rate rule sees an instrument establishes the baseline and cannot breach.
+  /// derivative between consecutive ticks (counters). An instrument's first
+  /// sampled tick is its baseline: no rate yet, so it cannot breach.
   enum class Signal : std::uint8_t { kValue, kRate };
   Signal signal = Signal::kValue;
 
@@ -163,9 +167,9 @@ class AlertEngine {
   void add_stall(StallRule rule);
   void add_littles_law(LittleLawRule rule);
 
-  /// Rides the recorder's cadence: registers a tick listener that calls
-  /// evaluate() after every sample. The engine must outlive the recorder's
-  /// sampling window.
+  /// Rides the recorder's cadence: every rule is evaluated against each
+  /// tick's sample (drive ticks with FlightRecorder::step or start). The
+  /// engine must outlive the recorder's sampling window.
   void attach(metrics::FlightRecorder& recorder);
 
   /// Alert transitions also become instant events on the "alerts" track.
@@ -177,11 +181,6 @@ class AlertEngine {
   /// Drops the sampler binding (the runner calls this before the sampler's
   /// owner is destroyed).
   void release_triggered_sampler() noexcept;
-
-  /// Evaluates every rule against the current registry state. Normally
-  /// invoked by the recorder listener; public so tests can drive ticks
-  /// directly.
-  void evaluate(sim::Time now, std::uint64_t tick);
 
   [[nodiscard]] const std::vector<AlertEvent>& events() const noexcept { return events_; }
   [[nodiscard]] std::size_t active_alerts() const noexcept { return active_; }
@@ -197,8 +196,8 @@ class AlertEngine {
   void write_log(std::ostream& out) const;
   [[nodiscard]] std::string log_text() const;
 
-  /// Wall-clock seconds spent in evaluate() (self-overhead; excluded from
-  /// deterministic exports).
+  /// Wall-clock seconds the recorder spent in this engine's tick listener
+  /// (self-overhead; excluded from deterministic exports).
   [[nodiscard]] double self_seconds() const noexcept { return self_time_.value(); }
 
  private:
@@ -209,19 +208,35 @@ class AlertEngine {
     int clear_ticks = 0;
   };
 
+  /// obs_alerts_{fired,resolved}_total{alert=<rule name>}.
+  struct AlertCounters {
+    metrics::Counter fired;
+    metrics::Counter resolved;
+  };
+  [[nodiscard]] AlertCounters counters_for(const std::string& rule_name);
+
+  /// Incremental instrument matcher (instruments only append and indices
+  /// are stable, so each tick classifies only the newly registered ones).
+  /// Matches `name` with `filter` as a label subset; `unlabeled_only` rules
+  /// watch instruments without labels. Wall-clock instruments never match.
+  struct Matcher {
+    Matcher() = default;
+    Matcher(std::string n, metrics::Labels f, bool unlabeled = false)
+        : name(std::move(n)), filter(std::move(f)), unlabeled_only(unlabeled) {}
+
+    std::string name;
+    metrics::Labels filter;
+    bool unlabeled_only = false;
+    std::vector<std::size_t> matched;  ///< registry indices, registration order
+    std::size_t scanned_until = 0;
+  };
+
   struct ThresholdState {
     ThresholdRule rule;
-    metrics::Counter fired;     ///< obs_alerts_fired_total{alert=...}
-    metrics::Counter resolved;  ///< obs_alerts_resolved_total{alert=...}
+    AlertCounters counters;
     AlertState agg_state;  ///< kSum / kMax
-    // Per matched instrument (registry index): alert state (kPerInstrument)
-    // and previous sample for kRate. Indexed sparsely via parallel vectors
-    // kept in registry order so evaluation order is deterministic.
-    std::vector<std::size_t> matched;       ///< registry indices
-    std::vector<AlertState> per_state;      ///< aligned with matched
-    std::vector<double> prev_value;         ///< aligned with matched
-    std::vector<bool> have_prev;            ///< aligned with matched
-    std::size_t scanned_until = 0;          ///< registry indices already classified
+    Matcher match;
+    std::vector<AlertState> per_state;  ///< kPerInstrument; aligned with match.matched
   };
 
   struct BurnWindowSample {
@@ -231,59 +246,40 @@ class AlertEngine {
 
   struct BurnState {
     BurnRateRule rule;
-    metrics::Counter fired;
-    metrics::Counter resolved;
+    AlertCounters counters;
     AlertState state;
-    std::vector<std::size_t> matched;
-    std::size_t scanned_until = 0;
+    Matcher match;
     std::deque<BurnWindowSample> window;  ///< trailing long_window_ticks + 1
   };
 
-  /// "Instrument not registered (yet)" sentinel for cached registry indices.
-  static constexpr std::size_t kNoIndex = static_cast<std::size_t>(-1);
-
   struct StallState {
     StallRule rule;
-    metrics::Counter fired;
-    metrics::Counter resolved;
+    AlertCounters counters;
     AlertState state;
-    double prev_progress = 0.0;
-    bool have_prev = false;
     int stalled_ticks = 0;
-    // Cached registry indices (resolved incrementally — instruments may
-    // register after the rule): a by-name find() per tick would re-scan and
-    // snapshot-copy; indices are stable, so resolve once and read cheaply.
-    std::size_t progress_idx = kNoIndex;
-    std::size_t armed_idx = kNoIndex;
-    std::size_t scanned_until = 0;
+    Matcher progress;  ///< the first match is watched
+    Matcher armed;     ///< the first match arms the rule (unused when unnamed)
   };
 
   struct LittleState {
     LittleLawRule rule;
-    metrics::Counter fired;
-    metrics::Counter resolved;
+    AlertCounters counters;
     /// obs_little_law_deviation_ticks_total{alert=...}: every breaching tick,
     /// independent of the hysteresis machine — the audit's raw signal.
     metrics::Counter deviation_ticks;
     AlertState state;
-    std::vector<std::size_t> occ_matched;  ///< occupancy-integral instruments
-    std::vector<std::size_t> lat_matched;  ///< latency-sum instruments
-    double prev_occ = 0.0;
-    double prev_lat = 0.0;
-    bool have_prev = false;
-    std::size_t scanned_until = 0;
+    Matcher occ;  ///< occupancy-integral instruments
+    Matcher lat;  ///< latency-sum instruments
   };
 
-  // `n` is the registry's instrument count, read once per tick: scans are
-  // incremental (instruments only append) and this path runs per tick.
-  void scan_new_instruments(ThresholdState& st, std::size_t n);
-  void scan_new_instruments(BurnState& st, std::size_t n);
-  void scan_new_instruments(StallState& st, std::size_t n);
-  void scan_new_instruments(LittleState& st, std::size_t n);
-  void evaluate_threshold(ThresholdState& st, sim::Time now, double dt_s, std::size_t n);
-  void evaluate_burn(BurnState& st, sim::Time now, std::size_t n);
-  void evaluate_stall(StallState& st, sim::Time now, std::size_t n);
-  void evaluate_little(LittleState& st, sim::Time now, double dt_s, std::size_t n);
+  /// Classifies the instruments registered since the last scan; `n` is the
+  /// tick's instrument count.
+  void scan(Matcher& m, std::size_t n) const;
+  void evaluate(const metrics::Tick& tick);
+  void evaluate_threshold(ThresholdState& st, const metrics::Tick& tick);
+  void evaluate_burn(BurnState& st, const metrics::Tick& tick);
+  void evaluate_stall(StallState& st, const metrics::Tick& tick);
+  void evaluate_little(LittleState& st, const metrics::Tick& tick);
 
   /// Advances the hysteresis state machine; returns +1 on fire, -1 on
   /// resolve, 0 otherwise.
@@ -291,13 +287,12 @@ class AlertEngine {
                         int clear_for_ticks);
 
   void transition(sim::Time now, const std::string& alert, bool firing, double value,
-                  double threshold, std::string detail, metrics::Counter& fired,
-                  metrics::Counter& resolved);
-  [[nodiscard]] bool matches(const metrics::Labels& labels,
-                             const metrics::Labels& filter) const;
+                  double threshold, std::string detail, AlertCounters& counters);
   [[nodiscard]] std::string instance_name(const ThresholdRule& rule, std::size_t reg_index) const;
-  /// "top: a{x=1}=3 b=2" — top matched instruments by value, for the log line.
-  [[nodiscard]] std::string top_contributors(const std::vector<std::size_t>& matched,
+  /// "top: a{x=1}=3 b=2" — top matched instruments by sampled value, for the
+  /// log line.
+  [[nodiscard]] std::string top_contributors(const metrics::Tick& tick,
+                                             const std::vector<std::size_t>& matched,
                                              std::size_t limit = 3) const;
 
   metrics::Registry& registry_;
@@ -316,9 +311,6 @@ class AlertEngine {
   std::vector<AlertEvent> events_;
   std::size_t active_ = 0;
   std::uint64_t fired_total_ = 0;
-
-  bool have_prev_tick_ = false;
-  sim::Time prev_tick_time_ = 0;
 
   metrics::Gauge active_gauge_;
   metrics::Counter self_time_;  ///< wall-clock, excluded from exports

@@ -1,7 +1,6 @@
 #include "obs/capacity_plane.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 
 namespace serve::obs {
@@ -23,8 +22,7 @@ CapacityPlane::CapacityPlane(metrics::Registry& registry, Options opts)
 
 void CapacityPlane::attach(metrics::FlightRecorder& recorder) {
   period_s_ = sim::to_seconds(recorder.period());
-  recorder.add_tick_listener(
-      [this](sim::Time now, std::uint64_t tick) { observe(now, tick); });
+  recorder.add_tick_listener([this](const metrics::Tick& tick) { observe(tick); }, self_time_);
 }
 
 std::size_t CapacityPlane::resource_slot(const std::string& device, const std::string& engine) {
@@ -72,57 +70,26 @@ void CapacityPlane::scan_new_instruments(std::size_t n) {
   scanned_until_ = n;
 }
 
-void CapacityPlane::observe(sim::Time now, std::uint64_t /*tick*/) {
-  const auto t0 = std::chrono::steady_clock::now();
-  scan_new_instruments(registry_.instrument_count());
+void CapacityPlane::observe(const metrics::Tick& tick) {
+  scan_new_instruments(tick.values.size());
+  if (tick.dt_s <= 0.0) return;  // the first tick is every counter's baseline
+  const double dt_s = tick.dt_s;
+  // Growth of counter `i` over the interval; 0 while it has no baseline
+  // (kNoIndex, or instruments that appeared this tick).
+  const auto delta = [&tick](std::size_t i) {
+    return tick.has_prev(i) ? tick.values[i] - tick.prev[i] : 0.0;
+  };
 
-  if (!have_prev_tick_) {
-    // Baseline tick: record current counter values, no interval yet.
-    for (auto& st : states_) {
-      if (st.busy_idx == kNoIndex) continue;
-      st.prev_busy = registry_.current_value(st.busy_idx);
-      st.prev_queue = st.queue_idx != kNoIndex ? registry_.current_value(st.queue_idx) : 0.0;
-      st.have_prev = true;
-    }
-    if (demand_idx_ != kNoIndex) prev_demand_ = registry_.current_value(demand_idx_);
-    if (occ_idx_ != kNoIndex) prev_occ_ = registry_.current_value(occ_idx_);
-    if (lat_idx_ != kNoIndex) prev_lat_ = registry_.current_value(lat_idx_);
-    prev_tick_time_ = now;
-    have_prev_tick_ = true;
-    const std::chrono::duration<double> dt0 = std::chrono::steady_clock::now() - t0;
-    self_time_.inc(dt0.count());
-    return;
-  }
-
-  const double dt_s = sim::to_seconds(now - prev_tick_time_);
-  prev_tick_time_ = now;
-  if (dt_s <= 0.0) {
-    const std::chrono::duration<double> dt0 = std::chrono::steady_clock::now() - t0;
-    self_time_.inc(dt0.count());
-    return;
-  }
-
-  // Per-resource interval deltas. A resource whose instruments appeared this
-  // tick establishes its baseline now and contributes 0 for this interval.
   std::size_t best = kIdle;
   double best_frac = opts_.idle_floor;
   for (std::size_t r = 0; r < resources_.size(); ++r) {
-    ResourceState& st = states_[r];
+    const ResourceState& st = states_[r];
     double frac = 0.0, qmean = 0.0;
     if (st.busy_idx != kNoIndex) {
-      const double busy = registry_.current_value(st.busy_idx);
-      const double queue =
-          st.queue_idx != kNoIndex ? registry_.current_value(st.queue_idx) : 0.0;
-      const double cap = st.capacity_idx != kNoIndex
-                             ? std::max(1.0, registry_.current_value(st.capacity_idx))
-                             : 1.0;
-      if (st.have_prev) {
-        frac = std::clamp((busy - st.prev_busy) / (dt_s * cap), 0.0, 1.0);
-        qmean = std::max(0.0, (queue - st.prev_queue) / dt_s);
-      }
-      st.prev_busy = busy;
-      st.prev_queue = queue;
-      st.have_prev = true;
+      const double cap =
+          st.capacity_idx != kNoIndex ? std::max(1.0, tick.values[st.capacity_idx]) : 1.0;
+      frac = std::clamp(delta(st.busy_idx) / (dt_s * cap), 0.0, 1.0);
+      qmean = std::max(0.0, delta(st.queue_idx) / dt_s);
       resources_[r].capacity = cap;
     }
     resources_[r].busy_frac.push_back(frac);
@@ -137,32 +104,19 @@ void CapacityPlane::observe(sim::Time now, std::uint64_t /*tick*/) {
   binding_.push_back(best);
 
   // Demand rate λ for the headroom estimator.
-  double lambda = 0.0;
-  if (demand_idx_ != kNoIndex) {
-    const double d = registry_.current_value(demand_idx_);
-    lambda = std::max(0.0, (d - prev_demand_) / dt_s);
-    prev_demand_ = d;
-  }
-  lambda_.push_back(lambda);
+  lambda_.push_back(std::max(0.0, delta(demand_idx_) / dt_s));
 
   // Little's-law audit sample.
   LittleSample ls;
-  if (occ_idx_ != kNoIndex && lat_idx_ != kNoIndex) {
-    const double occ = registry_.current_value(occ_idx_);
-    const double lat = registry_.current_value(lat_idx_);
-    ls = little_sample(occ - prev_occ_, lat - prev_lat_, dt_s, opts_.little_tolerance,
+  if (tick.has_prev(occ_idx_) && tick.has_prev(lat_idx_)) {
+    ls = little_sample(delta(occ_idx_), delta(lat_idx_), dt_s, opts_.little_tolerance,
                        opts_.little_min_occupancy);
-    prev_occ_ = occ;
-    prev_lat_ = lat;
   }
   if (ls.violated) {
     ++violations_;
     violations_m_.inc();
   }
   little_.push_back(ls);
-
-  const std::chrono::duration<double> dt0 = std::chrono::steady_clock::now() - t0;
-  self_time_.inc(dt0.count());
 }
 
 std::vector<BindingSegment> CapacityPlane::segments() const {

@@ -27,9 +27,11 @@
 //     meaningfully loaded, sustainable throughput = λ / u_binding; the
 //     deterministic median over valid ticks estimates the saturation knee.
 //
-// Everything derives from monotone counters read at exact virtual-time
-// multiples on the sim thread: two same-seed runs produce byte-identical
-// capacity snapshots. Self-cost accrues to a wall-clock counter excluded
+// Everything derives from the recorder's sample of monotone counters at
+// exact virtual-time multiples on the sim thread (the plane reads no
+// instrument itself; each tick hands it this sample and the previous one):
+// two same-seed runs produce byte-identical capacity snapshots. The
+// recorder charges the plane's self-cost to a wall-clock counter excluded
 // from deterministic exports (obs_capacity_plane_self_seconds_total).
 #pragma once
 
@@ -96,13 +98,9 @@ class CapacityPlane {
   explicit CapacityPlane(metrics::Registry& registry) : CapacityPlane(registry, Options{}) {}
   CapacityPlane(metrics::Registry& registry, Options opts);
 
-  /// Rides the recorder's cadence. The plane must outlive the recorder's
-  /// sampling window.
+  /// Rides the recorder's cadence (drive ticks with FlightRecorder::step or
+  /// start). The plane must outlive the recorder's sampling window.
   void attach(metrics::FlightRecorder& recorder);
-
-  /// Observes one tick (normally invoked by the recorder listener; public so
-  /// tests can drive ticks directly).
-  void observe(sim::Time now, std::uint64_t tick);
 
   /// No binding resource cleared the idle floor this interval.
   static constexpr std::size_t kIdle = static_cast<std::size_t>(-1);
@@ -149,8 +147,8 @@ class CapacityPlane {
   /// Deterministic snapshot for the telemetry exporter's "capacity" section.
   [[nodiscard]] metrics::CapacitySnapshot snapshot() const;
 
-  /// Wall-clock seconds spent in observe() (self-overhead; excluded from
-  /// deterministic exports).
+  /// Wall-clock seconds the recorder spent in this plane's tick listener
+  /// (self-overhead; excluded from deterministic exports).
   [[nodiscard]] double self_seconds() const noexcept { return self_time_.value(); }
 
  private:
@@ -160,15 +158,15 @@ class CapacityPlane {
   /// stable): groups hw_resource_* instruments by (device, engine) and
   /// resolves the serving-side audit counters.
   void scan_new_instruments(std::size_t n);
+  /// Differences the tick's sample against the previous one into one
+  /// interval per tick (the first tick only sets baselines).
+  void observe(const metrics::Tick& tick);
   [[nodiscard]] std::size_t resource_slot(const std::string& device, const std::string& engine);
 
   struct ResourceState {
     std::size_t busy_idx = kNoIndex;      ///< hw_resource_busy_seconds_total
     std::size_t queue_idx = kNoIndex;     ///< hw_resource_queue_seconds_total
     std::size_t capacity_idx = kNoIndex;  ///< hw_resource_capacity
-    double prev_busy = 0.0;
-    double prev_queue = 0.0;
-    bool have_prev = false;
   };
 
   metrics::Registry& registry_;
@@ -181,12 +179,7 @@ class CapacityPlane {
   std::size_t demand_idx_ = kNoIndex;
   std::size_t occ_idx_ = kNoIndex;  ///< serving_in_flight_seconds_total
   std::size_t lat_idx_ = kNoIndex;  ///< serving_latency_seconds_total
-  double prev_demand_ = 0.0;
-  double prev_occ_ = 0.0;
-  double prev_lat_ = 0.0;
 
-  bool have_prev_tick_ = false;
-  sim::Time prev_tick_time_ = 0;
   double period_s_ = 0.0;  ///< recorder cadence (set by attach)
 
   std::vector<std::size_t> binding_;  ///< per interval

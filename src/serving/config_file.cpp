@@ -1,9 +1,12 @@
 #include "serving/config_file.h"
 
+#include <charconv>
 #include <fstream>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+
+#include "metrics/export.h"
 
 namespace serve::serving {
 
@@ -62,11 +65,47 @@ double parse_double(int line_no, const std::string& key, const std::string& v, d
   return out;
 }
 
+/// A duration key: whole `unit_ns` units, read as 64-bit so every value the
+/// formatter writes (any sim::Time) parses back.
+sim::Time parse_duration(int line_no, const std::string& key, const std::string& v,
+                         long long min_value, sim::Time unit_ns) {
+  const long long max_value = std::numeric_limits<sim::Time>::max() / unit_ns;
+  std::size_t used = 0;
+  long long out = 0;
+  try {
+    out = std::stoll(v, &used);
+  } catch (const std::exception&) {
+    fail(line_no, "bad integer for '" + key + "': " + v);
+  }
+  if (used != v.size()) fail(line_no, "trailing junk for '" + key + "': " + v);
+  if (out < min_value || out > max_value) {
+    fail(line_no, "'" + key + "' = " + v + " out of range [" + std::to_string(min_value) + ", " +
+                      std::to_string(max_value) + "]");
+  }
+  return out * unit_ns;
+}
+sim::Time parse_ms(int line_no, const std::string& key, const std::string& v, long long min_value) {
+  return parse_duration(line_no, key, v, min_value, 1'000'000);
+}
+sim::Time parse_us(int line_no, const std::string& key, const std::string& v, long long min_value) {
+  return parse_duration(line_no, key, v, min_value, 1'000);
+}
+
 /// Whole milliseconds / microseconds in `t`. Durations are read back as
 /// integers, so they must not go through the stream's six-digit float form
 /// (1800000 ms would print as 1.8e+06 and fail to parse).
 long long whole_ms(sim::Time t) { return static_cast<long long>(t / 1'000'000); }
 long long whole_us(sim::Time t) { return static_cast<long long>(t / 1'000); }
+
+/// Seconds stored, microseconds written: 15 significant digits is what
+/// survives the x1e6 / x1e-6 scaling, so format -> parse -> format reaches
+/// a fixed point (the value itself may move by an ulp).
+std::string micros(double seconds) {
+  char buf[32];
+  const auto res =
+      std::to_chars(buf, buf + sizeof buf, seconds * 1e6, std::chars_format::general, 15);
+  return {buf, res.ptr};
+}
 
 }  // namespace
 
@@ -149,9 +188,9 @@ ServerConfig parse_server_config(const std::string& text) {
     } else if (key == "fixed_batch") {
       cfg.fixed_batch = parse_int(line_no, key, value, 1);
     } else if (key == "max_queue_delay_us") {
-      cfg.max_queue_delay = sim::microseconds(parse_int(line_no, key, value, 0));
+      cfg.max_queue_delay = parse_us(line_no, key, value, 0);
     } else if (key == "shed_deadline_ms") {
-      cfg.shed_deadline = sim::milliseconds(parse_int(line_no, key, value, 0));
+      cfg.shed_deadline = parse_ms(line_no, key, value, 0);
     } else if (key == "audit") {
       cfg.audit = parse_bool(line_no, key, value);
     } else if (key == "validate_payloads") {
@@ -161,11 +200,11 @@ ServerConfig parse_server_config(const std::string& text) {
     } else if (key == "retry_max_attempts") {
       cfg.retry.max_attempts = parse_int(line_no, key, value, 1);
     } else if (key == "retry_timeout_ms") {
-      cfg.retry.timeout = sim::milliseconds(parse_int(line_no, key, value, 0));
+      cfg.retry.timeout = parse_ms(line_no, key, value, 0);
     } else if (key == "retry_backoff_base_ms") {
-      cfg.retry.backoff_base = sim::milliseconds(parse_int(line_no, key, value, 0));
+      cfg.retry.backoff_base = parse_ms(line_no, key, value, 0);
     } else if (key == "retry_backoff_cap_ms") {
-      cfg.retry.backoff_cap = sim::milliseconds(parse_int(line_no, key, value, 0));
+      cfg.retry.backoff_cap = parse_ms(line_no, key, value, 0);
     } else if (key == "retry_budget") {
       cfg.retry.retry_budget = parse_double(line_no, key, value, 0.0, 1e9);
     } else if (key == "retry_budget_refill") {
@@ -177,13 +216,13 @@ ServerConfig parse_server_config(const std::string& text) {
     } else if (key == "breaker_error_rate") {
       cfg.breaker.error_rate_open = parse_double(line_no, key, value, 0.0, 1.0);
     } else if (key == "breaker_open_ms") {
-      cfg.breaker.open_duration = sim::milliseconds(parse_int(line_no, key, value, 0));
+      cfg.breaker.open_duration = parse_ms(line_no, key, value, 0);
     } else if (key == "breaker_half_open_probes") {
       cfg.breaker.half_open_probes = parse_int(line_no, key, value, 1);
     } else if (key == "degrade") {
       cfg.degrade.enabled = parse_bool(line_no, key, value);
     } else if (key == "degrade_hysteresis_ms") {
-      cfg.degrade.hysteresis = sim::milliseconds(parse_int(line_no, key, value, 0));
+      cfg.degrade.hysteresis = parse_ms(line_no, key, value, 0);
     } else if (key == "broker_publish") {
       cfg.broker_publish.publish_results = parse_bool(line_no, key, value);
     } else if (key == "broker_retry") {
@@ -191,9 +230,9 @@ ServerConfig parse_server_config(const std::string& text) {
     } else if (key == "broker_max_attempts") {
       cfg.broker_publish.max_attempts = parse_int(line_no, key, value, 1);
     } else if (key == "broker_backoff_ms") {
-      cfg.broker_publish.backoff_base = sim::milliseconds(parse_int(line_no, key, value, 0));
+      cfg.broker_publish.backoff_base = parse_ms(line_no, key, value, 0);
     } else if (key == "broker_poll_ms") {
-      cfg.broker_publish.poll_interval = sim::milliseconds(parse_int(line_no, key, value, 0));
+      cfg.broker_publish.poll_interval = parse_ms(line_no, key, value, 0);
     } else if (key == "balancer_policy") {
       if (value == "round_robin") {
         cfg.balancer.policy = BalancerPolicy::kRoundRobin;
@@ -211,9 +250,9 @@ ServerConfig parse_server_config(const std::string& text) {
     } else if (key == "health_checks") {
       cfg.balancer.health.enabled = parse_bool(line_no, key, value);
     } else if (key == "health_probe_interval_ms") {
-      cfg.balancer.health.probe_interval = sim::milliseconds(parse_int(line_no, key, value, 1));
+      cfg.balancer.health.probe_interval = parse_ms(line_no, key, value, 1);
     } else if (key == "health_probe_timeout_ms") {
-      cfg.balancer.health.probe_timeout = sim::milliseconds(parse_int(line_no, key, value, 1));
+      cfg.balancer.health.probe_timeout = parse_ms(line_no, key, value, 1);
     } else if (key == "health_probe_cost_us") {
       cfg.balancer.health.probe_cost_s = parse_double(line_no, key, value, 0.0, 1e6) * 1e-6;
     } else if (key == "health_ewma_alpha") {
@@ -223,13 +262,13 @@ ServerConfig parse_server_config(const std::string& text) {
     } else if (key == "health_eject_probe_failures") {
       cfg.balancer.health.eject_probe_failures = parse_int(line_no, key, value, 1);
     } else if (key == "health_eject_ms") {
-      cfg.balancer.health.eject_duration = sim::milliseconds(parse_int(line_no, key, value, 1));
+      cfg.balancer.health.eject_duration = parse_ms(line_no, key, value, 1);
     } else if (key == "health_rejoin_probes") {
       cfg.balancer.health.rejoin_probes = parse_int(line_no, key, value, 1);
     } else if (key == "hedge") {
       cfg.balancer.hedge.enabled = parse_bool(line_no, key, value);
     } else if (key == "hedge_deadline_ms") {
-      cfg.balancer.hedge.deadline = sim::milliseconds(parse_int(line_no, key, value, 1));
+      cfg.balancer.hedge.deadline = parse_ms(line_no, key, value, 1);
     } else if (key == "hedge_budget") {
       cfg.balancer.hedge.budget = parse_double(line_no, key, value, 0.0, 1e9);
     } else if (key == "hedge_budget_refill") {
@@ -266,7 +305,7 @@ std::string format_server_config(const ServerConfig& config) {
   out << "ingress_cache = " << (config.ingress_cache.enabled ? "true" : "false") << "\n";
   out << "ingress_cache_image_mb = " << (config.ingress_cache.image_budget_bytes >> 20) << "\n";
   out << "ingress_cache_tensor_mb = " << (config.ingress_cache.tensor_budget_bytes >> 20) << "\n";
-  out << "ingress_cache_lookup_us = " << config.ingress_cache.lookup_s * 1e6 << "\n";
+  out << "ingress_cache_lookup_us = " << micros(config.ingress_cache.lookup_s) << "\n";
   out << "dynamic_batching = " << (config.dynamic_batching ? "true" : "false") << "\n";
   out << "max_batch = " << config.effective_max_batch() << "\n";
   out << "instance_count = " << config.instance_count << "\n";
@@ -280,11 +319,11 @@ std::string format_server_config(const ServerConfig& config) {
   out << "retry_timeout_ms = " << whole_ms(config.retry.timeout) << "\n";
   out << "retry_backoff_base_ms = " << whole_ms(config.retry.backoff_base) << "\n";
   out << "retry_backoff_cap_ms = " << whole_ms(config.retry.backoff_cap) << "\n";
-  out << "retry_budget = " << config.retry.retry_budget << "\n";
-  out << "retry_budget_refill = " << config.retry.budget_refill_per_success << "\n";
+  out << "retry_budget = " << metrics::format_double(config.retry.retry_budget) << "\n";
+  out << "retry_budget_refill = " << metrics::format_double(config.retry.budget_refill_per_success) << "\n";
   out << "circuit_breaker = " << (config.breaker.enabled ? "true" : "false") << "\n";
   out << "breaker_queue_depth = " << config.breaker.queue_depth_open << "\n";
-  out << "breaker_error_rate = " << config.breaker.error_rate_open << "\n";
+  out << "breaker_error_rate = " << metrics::format_double(config.breaker.error_rate_open) << "\n";
   out << "breaker_open_ms = " << whole_ms(config.breaker.open_duration) << "\n";
   out << "breaker_half_open_probes = " << config.breaker.half_open_probes << "\n";
   out << "degrade = " << (config.degrade.enabled ? "true" : "false") << "\n";
@@ -304,16 +343,16 @@ std::string format_server_config(const ServerConfig& config) {
   out << "health_checks = " << (config.balancer.health.enabled ? "true" : "false") << "\n";
   out << "health_probe_interval_ms = " << whole_ms(config.balancer.health.probe_interval) << "\n";
   out << "health_probe_timeout_ms = " << whole_ms(config.balancer.health.probe_timeout) << "\n";
-  out << "health_probe_cost_us = " << config.balancer.health.probe_cost_s * 1e6 << "\n";
-  out << "health_ewma_alpha = " << config.balancer.health.ewma_alpha << "\n";
-  out << "health_eject_score = " << config.balancer.health.eject_score << "\n";
+  out << "health_probe_cost_us = " << micros(config.balancer.health.probe_cost_s) << "\n";
+  out << "health_ewma_alpha = " << metrics::format_double(config.balancer.health.ewma_alpha) << "\n";
+  out << "health_eject_score = " << metrics::format_double(config.balancer.health.eject_score) << "\n";
   out << "health_eject_probe_failures = " << config.balancer.health.eject_probe_failures << "\n";
   out << "health_eject_ms = " << whole_ms(config.balancer.health.eject_duration) << "\n";
   out << "health_rejoin_probes = " << config.balancer.health.rejoin_probes << "\n";
   out << "hedge = " << (config.balancer.hedge.enabled ? "true" : "false") << "\n";
   out << "hedge_deadline_ms = " << whole_ms(config.balancer.hedge.deadline) << "\n";
-  out << "hedge_budget = " << config.balancer.hedge.budget << "\n";
-  out << "hedge_budget_refill = " << config.balancer.hedge.budget_refill_per_success << "\n";
+  out << "hedge_budget = " << metrics::format_double(config.balancer.hedge.budget) << "\n";
+  out << "hedge_budget_refill = " << metrics::format_double(config.balancer.hedge.budget_refill_per_success) << "\n";
   return out.str();
 }
 

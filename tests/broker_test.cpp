@@ -3,6 +3,7 @@
 // recovery).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -370,6 +371,24 @@ TEST_F(FileLogTest, FsyncCadenceSurvivesSegmentRotation) {
   for (int i = 0; i < 6; ++i) log.publish(payload);
   EXPECT_EQ(log.segment_count(), 3u);
   EXPECT_EQ(log.fsync_count(), 2u);  // exactly the two rotations
+}
+
+TEST_F(FileLogTest, SealedSegmentCutAtRecordBoundaryThrows) {
+  // Regression (found by FileLogFuzz): a sealed segment truncated exactly on
+  // a record boundary still parsed cleanly, so recovery exposed a log with
+  // a hole — the later segments' records at the wrong offsets.
+  {
+    FileLogBroker log{{.dir = dir_, .segment_bytes = 64}};
+    for (const char c : {'a', 'b', 'c', 'd'}) log.publish(std::string(24, c));  // 32 bytes each
+    ASSERT_EQ(log.segment_count(), 2u);
+  }
+  std::vector<std::filesystem::path> segs;
+  for (const auto& e : std::filesystem::directory_iterator(dir_)) segs.push_back(e.path());
+  std::sort(segs.begin(), segs.end());
+  std::filesystem::resize_file(segs.front(), 32);  // drop record 1, keep record 0
+  EXPECT_THROW(FileLogBroker({.dir = dir_, .segment_bytes = 64}), std::runtime_error);
+  EXPECT_THROW(FileLogBroker({.dir = dir_, .segment_bytes = 64, .tolerate_torn_tail = true}),
+               std::runtime_error);
 }
 
 TEST(FileLogCrc, MatchesKnownVector) {

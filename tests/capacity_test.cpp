@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -40,21 +39,18 @@ TEST(GaugeAliasing, PointSamplesMissSquareWaveIntervalMeansAreExact) {
   sim::Resource dev{sim, 1, "dev"};
   reg.gauge_fn("dev_in_use", {}, [&dev] { return static_cast<double>(dev.in_use()); });
 
+  // The monotone busy integral rides the same sample as the gauge.
+  const std::size_t busy_idx = reg.size();
+  reg.counter_fn("dev_busy_seconds_total", {}, [&dev] { return dev.busy_seconds_total(); });
+
   metrics::FlightRecorder rec{reg, {.period = sim::milliseconds(10), .capacity = 64}};
   // Interval busy fractions from the monotone integral, differenced on the
   // same cadence the gauge is sampled on.
   std::vector<double> interval_means;
-  double prev_busy = 0.0;
-  sim::Time prev_t = 0;
-  bool have_prev = false;
-  rec.add_tick_listener([&](sim::Time now, std::uint64_t) {
-    const double busy = dev.busy_seconds_total();
-    if (have_prev && now > prev_t) {
-      interval_means.push_back((busy - prev_busy) / sim::to_seconds(now - prev_t));
+  rec.add_tick_listener([&](const metrics::Tick& t) {
+    if (t.has_prev(busy_idx) && t.dt_s > 0.0) {
+      interval_means.push_back((t.values[busy_idx] - t.prev[busy_idx]) / t.dt_s);
     }
-    prev_busy = busy;
-    prev_t = now;
-    have_prev = true;
   });
 
   // Busy during [2, 7) ms of every 10 ms cycle: 50% duty, yet every sampling
@@ -76,7 +72,7 @@ TEST(GaugeAliasing, PointSamplesMissSquareWaveIntervalMeansAreExact) {
   sim.run();
 
   const auto series = rec.series();
-  ASSERT_EQ(series.size(), 1u);
+  ASSERT_EQ(series.size(), 2u);  // the gauge, then the busy integral
   EXPECT_EQ(series[0].name, "dev_in_use");
   ASSERT_GE(series[0].samples.size(), 10u);
   for (const double s : series[0].samples) {
@@ -162,13 +158,15 @@ TEST(CapacityPlaneTest, DifferencesIntegralsIntoExactIntervalMeans) {
   metrics::Registry reg;
   SynthResource gpu{reg, "gpu0", "compute", 2.0};
   CapacityPlane plane{reg};
+  metrics::FlightRecorder rec{reg, {.period = kTick}};
+  plane.attach(rec);
 
-  plane.observe(0, 0);  // baseline tick: no interval yet
+  rec.step(0);  // baseline tick: no interval yet
   EXPECT_EQ(plane.intervals(), 0u);
 
   gpu.busy.inc(0.15);   // 0.15 unit-seconds over 0.1 s at capacity 2 -> 75%
   gpu.queue.inc(0.05);  // 0.05 waiter-seconds over 0.1 s -> mean depth 0.5
-  plane.observe(kTick, 1);
+  rec.step(kTick);
   ASSERT_EQ(plane.intervals(), 1u);
   ASSERT_EQ(plane.resources().size(), 1u);
   const auto& tl = plane.resources()[0];
@@ -179,7 +177,7 @@ TEST(CapacityPlaneTest, DifferencesIntegralsIntoExactIntervalMeans) {
 
   // An impossible delta (> dt * capacity) clamps to 1 instead of leaking.
   gpu.busy.inc(5.0);
-  plane.observe(2 * kTick, 2);
+  rec.step(2 * kTick);
   EXPECT_DOUBLE_EQ(plane.resources()[0].busy_frac[1], 1.0);
 }
 
@@ -187,12 +185,14 @@ TEST(CapacityPlaneTest, LateResourceBackfillsIdleIntervals) {
   metrics::Registry reg;
   SynthResource cpu{reg, "cpu", "preproc_workers", 8.0};
   CapacityPlane plane{reg};
+  metrics::FlightRecorder rec{reg, {.period = kTick}};
+  plane.attach(rec);
 
-  plane.observe(0, 0);
+  rec.step(0);
   cpu.busy.inc(0.4);
-  plane.observe(kTick, 1);
+  rec.step(kTick);
   cpu.busy.inc(0.4);
-  plane.observe(2 * kTick, 2);
+  rec.step(2 * kTick);
   ASSERT_EQ(plane.intervals(), 2u);
 
   // A resource whose instruments appear mid-flight back-fills its earlier
@@ -201,10 +201,10 @@ TEST(CapacityPlaneTest, LateResourceBackfillsIdleIntervals) {
   SynthResource gpu{reg, "gpu0", "compute", 1.0};
   gpu.busy.inc(123.0);  // pre-baseline total must not leak into an interval
   cpu.busy.inc(0.4);
-  plane.observe(3 * kTick, 3);
+  rec.step(3 * kTick);
   gpu.busy.inc(0.09);
   cpu.busy.inc(0.4);
-  plane.observe(4 * kTick, 4);
+  rec.step(4 * kTick);
 
   ASSERT_EQ(plane.resources().size(), 2u);
   const auto& late = plane.resources()[1];
@@ -224,12 +224,14 @@ TEST(CapacityPlaneTest, BindingArgmaxSegmentsAndDominantResource) {
   SynthResource cpu{reg, "cpu", "preproc_workers", 1.0};
   SynthResource gpu{reg, "gpu0", "compute", 1.0};
   CapacityPlane plane{reg};
-  plane.observe(0, 0);
+  metrics::FlightRecorder rec{reg, {.period = kTick}};
+  plane.attach(rec);
+  rec.step(0);
 
   auto tick = [&](double cpu_frac, double gpu_frac, std::uint64_t k) {
     cpu.busy.inc(cpu_frac * 0.1);
     gpu.busy.inc(gpu_frac * 0.1);
-    plane.observe(static_cast<sim::Time>(k) * kTick, k);
+    rec.step(static_cast<sim::Time>(k) * kTick);
   };
   tick(0.9, 0.3, 1);   // cpu binds
   tick(0.8, 0.2, 2);   // cpu binds
@@ -274,21 +276,23 @@ TEST(CapacityPlaneTest, LittleAuditFlagsOnlyMeaningfulDeviations) {
   auto occ = reg.counter("serving_in_flight_seconds_total");
   auto lat = reg.counter("serving_latency_seconds_total");
   CapacityPlane plane{reg};
-  plane.observe(0, 0);
+  metrics::FlightRecorder rec{reg, {.period = kTick}};
+  plane.attach(rec);
+  rec.step(0);
 
   // Steady state: L == lambda*W == 10 -> clean.
   occ.inc(1.0);
   lat.inc(1.0);
-  plane.observe(kTick, 1);
+  rec.step(kTick);
   // Backlog growth: L = 20 vs lambda*W = 10 (deviation 0.5 > 0.15) -> flagged.
   occ.inc(2.0);
   lat.inc(1.0);
-  plane.observe(2 * kTick, 2);
+  rec.step(2 * kTick);
   // Same relative deviation near idle (L = 0.04): under the occupancy floor,
   // noise-vs-noise never flags.
   occ.inc(0.004);
   lat.inc(0.002);
-  plane.observe(3 * kTick, 3);
+  rec.step(3 * kTick);
 
   ASSERT_EQ(plane.little().size(), 3u);
   EXPECT_FALSE(plane.little()[0].violated);
@@ -310,12 +314,14 @@ TEST(CapacityPlaneTest, SustainableRpsIsMedianOverUsableIntervals) {
   auto demand = reg.counter("serving_requests_submitted_total");
   SynthResource gpu{reg, "gpu0", "compute", 1.0};
   CapacityPlane plane{reg};
-  plane.observe(0, 0);
+  metrics::FlightRecorder rec{reg, {.period = kTick}};
+  plane.attach(rec);
+  rec.step(0);
 
   auto tick = [&](double util, double rate, std::uint64_t k) {
     gpu.busy.inc(util * 0.1);
     demand.inc(rate * 0.1);
-    plane.observe(static_cast<sim::Time>(k) * kTick, k);
+    rec.step(static_cast<sim::Time>(k) * kTick);
   };
   tick(0.50, 100.0, 1);  // est 200
   tick(0.10, 100.0, 2);  // under headroom_min_util (and idle floor): skipped
@@ -328,13 +334,13 @@ TEST(CapacityPlaneTest, SustainableRpsIsMedianOverUsableIntervals) {
 }
 
 TEST(CapacityPlaneTest, SnapshotIsDeterministicAndExportsCapacitySection) {
-  auto drive = [](CapacityPlane& plane, metrics::Registry& reg) {
+  auto drive = [](metrics::FlightRecorder& rec, metrics::Registry& reg) {
     auto demand = reg.counter("serving_requests_submitted_total");
     auto occ = reg.counter("serving_in_flight_seconds_total");
     auto lat = reg.counter("serving_latency_seconds_total");
     SynthResource cpu{reg, "cpu", "preproc_workers", 4.0};
     SynthResource gpu{reg, "gpu0", "compute", 1.0};
-    plane.observe(0, 0);
+    rec.step(0);
     for (std::uint64_t k = 1; k <= 6; ++k) {
       cpu.busy.inc(k <= 3 ? 0.36 : 0.08);
       gpu.busy.inc(k <= 3 ? 0.03 : 0.095);
@@ -342,7 +348,7 @@ TEST(CapacityPlaneTest, SnapshotIsDeterministicAndExportsCapacitySection) {
       demand.inc(40.0);
       occ.inc(k == 4 ? 2.0 : 1.0);
       lat.inc(1.0);
-      plane.observe(static_cast<sim::Time>(k) * kTick, k);
+      rec.step(static_cast<sim::Time>(k) * kTick);
     }
   };
 
@@ -350,7 +356,9 @@ TEST(CapacityPlaneTest, SnapshotIsDeterministicAndExportsCapacitySection) {
   for (auto& text : out) {
     metrics::Registry reg;
     CapacityPlane plane{reg};
-    drive(plane, reg);
+    metrics::FlightRecorder rec{reg, {.period = kTick}};
+    plane.attach(rec);
+    drive(rec, reg);
     metrics::TelemetryExport exp;
     exp.set_capacity(plane.snapshot());
     std::ostringstream ss;
@@ -534,27 +542,19 @@ std::unique_ptr<FleetAudit> run_fleet_audited(const sim::FaultPlan* faults) {
 
   // Diagnostic mirror of the rule's differencing (sum of node occupancy
   // integrals vs the completion-charged latency sum) for failure messages.
-  auto raw = std::make_shared<std::array<double, 2>>();
-  auto have = std::make_shared<bool>(false);
-  auto prev_t = std::make_shared<sim::Time>(0);
   FleetAudit* fb = b.get();
-  b->rec.add_tick_listener([fb, raw, have, prev_t](sim::Time now, std::uint64_t) {
-    double occ = 0.0, lat = 0.0;
-    for (std::size_t i = 0; i < fb->reg.instrument_count(); ++i) {
-      const auto info = fb->reg.info(i);
-      if (info.name == "fleet_node_outstanding_seconds_total") occ += fb->reg.current_value(i);
-      if (info.name == "fleet_latency_seconds_total") lat += fb->reg.current_value(i);
+  b->rec.add_tick_listener([fb](const metrics::Tick& t) {
+    if (t.dt_s <= 0.0) return;
+    double d_occ = 0.0, d_lat = 0.0;
+    for (std::size_t i = 0; i < t.values.size(); ++i) {
+      const double d = t.values[i] - (t.has_prev(i) ? t.prev[i] : 0.0);
+      const std::string& name = fb->reg.info(i).name;
+      if (name == "fleet_node_outstanding_seconds_total") d_occ += d;
+      if (name == "fleet_latency_seconds_total") d_lat += d;
     }
-    if (*have && now > *prev_t) {
-      const double dt = sim::to_seconds(now - *prev_t);
-      fb->sample_t.push_back(sim::to_seconds(now));
-      fb->sample_l.push_back((occ - (*raw)[0]) / dt);
-      fb->sample_lw.push_back((lat - (*raw)[1]) / dt);
-    }
-    (*raw)[0] = occ;
-    (*raw)[1] = lat;
-    *prev_t = now;
-    *have = true;
+    fb->sample_t.push_back(sim::to_seconds(t.now));
+    fb->sample_l.push_back(d_occ / t.dt_s);
+    fb->sample_lw.push_back(d_lat / t.dt_s);
   });
 
   spec.registry = &b->reg;

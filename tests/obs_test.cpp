@@ -1,6 +1,7 @@
 // Tests for the obs::AlertEngine SLO watch plane: threshold/rate/burn/stall
 // rules, hysteresis, deterministic logs, triggered capture, flight-recorder
-// integration across ring wraps, and per-node fleet alert labels.
+// integration across ring wraps, one registry read per tick shared with the
+// capacity plane, and per-node fleet alert labels.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -12,6 +13,7 @@
 #include "metrics/registry.h"
 #include "models/model_zoo.h"
 #include "obs/alert_engine.h"
+#include "obs/capacity_plane.h"
 #include "sim/simulator.h"
 #include "sim/trace.h"
 #include "trace/span_context.h"
@@ -21,13 +23,15 @@ namespace {
 
 constexpr sim::Time kTick = sim::milliseconds(100);
 
-/// Drives evaluate() directly at the recorder cadence without a recorder.
+/// Scripts recorder ticks at the kTick cadence without a simulator.
 struct Clock {
-  std::uint64_t tick = 0;
+  metrics::FlightRecorder rec;
   sim::Time now = 0;
-  void step(AlertEngine& eng) {
-    eng.evaluate(now, tick);
-    ++tick;
+  Clock(metrics::Registry& reg, AlertEngine& eng) : rec{reg, {.period = kTick}} {
+    eng.attach(rec);
+  }
+  void step() {
+    rec.step(now);
     now += kTick;
   }
 };
@@ -48,15 +52,15 @@ TEST(AlertThreshold, GaugeFiresAfterForTicksAndClearsWithHysteresis) {
   r.clear_for_ticks = 2;
   eng.add_threshold(r);
 
-  Clock c;
+  Clock c{reg, eng};
   depth.set(3.0);
-  c.step(eng);
+  c.step();
   EXPECT_TRUE(eng.events().empty());
 
   depth.set(50.0);
-  c.step(eng);  // first breaching tick: debounced, not yet firing
+  c.step();  // first breaching tick: debounced, not yet firing
   EXPECT_TRUE(eng.events().empty());
-  c.step(eng);  // second consecutive breach fires
+  c.step();  // second consecutive breach fires
   ASSERT_EQ(eng.events().size(), 1u);
   EXPECT_TRUE(eng.events()[0].firing);
   EXPECT_EQ(eng.events()[0].alert, "depth-high");
@@ -65,16 +69,16 @@ TEST(AlertThreshold, GaugeFiresAfterForTicksAndClearsWithHysteresis) {
 
   // 7 is below the fire level but above the clear level: hysteresis holds.
   depth.set(7.0);
-  c.step(eng);
-  c.step(eng);
-  c.step(eng);
+  c.step();
+  c.step();
+  c.step();
   EXPECT_EQ(eng.events().size(), 1u);
   EXPECT_EQ(eng.active_alerts(), 1u);
 
   depth.set(2.0);
-  c.step(eng);  // first clear tick
+  c.step();  // first clear tick
   EXPECT_EQ(eng.events().size(), 1u);
-  c.step(eng);  // second clear tick resolves
+  c.step();  // second clear tick resolves
   ASSERT_EQ(eng.events().size(), 2u);
   EXPECT_FALSE(eng.events()[1].firing);
   EXPECT_EQ(eng.active_alerts(), 0u);
@@ -99,19 +103,19 @@ TEST(AlertThreshold, FireBelowDirection) {
   r.clear_above = 0.8;
   eng.add_threshold(r);
 
-  Clock c;
+  Clock c{reg, eng};
   health.set(1.0);
-  c.step(eng);
+  c.step();
   EXPECT_TRUE(eng.events().empty());
   health.set(0.2);
-  c.step(eng);
+  c.step();
   ASSERT_EQ(eng.events().size(), 1u);
   EXPECT_TRUE(eng.events()[0].firing);
   health.set(0.6);  // above fire level but below clear level: still firing
-  c.step(eng);
+  c.step();
   EXPECT_EQ(eng.events().size(), 1u);
   health.set(0.9);
-  c.step(eng);
+  c.step();
   ASSERT_EQ(eng.events().size(), 2u);
   EXPECT_FALSE(eng.events()[1].firing);
 }
@@ -143,22 +147,22 @@ TEST(AlertThreshold, RateRuleBaselinesFirstTickThenDetectsSpike) {
   r.clear_below = 10.0;
   eng.add_threshold(r);
 
-  Clock c;
+  Clock c{reg, eng};
   evictions.inc(1e6);  // huge pre-existing cumulative value
-  c.step(eng);         // baseline tick: a counter's absolute value never breaches
+  c.step();         // baseline tick: a counter's absolute value never breaches
   EXPECT_TRUE(eng.events().empty());
 
   evictions.inc(5.0);  // 50/s over a 100 ms tick: below threshold
-  c.step(eng);
+  c.step();
   EXPECT_TRUE(eng.events().empty());
 
   evictions.inc(50.0);  // 500/s: breach
-  c.step(eng);
+  c.step();
   ASSERT_EQ(eng.events().size(), 1u);
   EXPECT_TRUE(eng.events()[0].firing);
   EXPECT_DOUBLE_EQ(eng.events()[0].value, 500.0);
 
-  c.step(eng);  // no increment: rate 0 resolves
+  c.step();  // no increment: rate 0 resolves
   ASSERT_EQ(eng.events().size(), 2u);
   EXPECT_FALSE(eng.events()[1].firing);
 }
@@ -175,14 +179,14 @@ TEST(AlertThreshold, PerInstrumentCreatesIndependentLabeledInstances) {
   r.fire_below = 0.5;
   eng.add_threshold(r);
 
-  Clock c;
+  Clock c{reg, eng};
   g0.set(1.0);
   g1.set(1.0);
-  c.step(eng);
+  c.step();
   EXPECT_TRUE(eng.events().empty());
 
   g1.set(0.1);  // only node 1 degrades
-  c.step(eng);
+  c.step();
   ASSERT_EQ(eng.events().size(), 1u);
   EXPECT_EQ(eng.events()[0].alert, "node-unhealthy{node=1}");
   EXPECT_TRUE(eng.ever_fired("node-unhealthy{node=1}"));
@@ -200,13 +204,13 @@ TEST(AlertThreshold, SumAggregationCombinesInstances) {
   r.fire_above = 100.0;
   eng.add_threshold(r);
 
-  Clock c;
+  Clock c{reg, eng};
   g0.set(60.0);
   g1.set(30.0);
-  c.step(eng);
+  c.step();
   EXPECT_TRUE(eng.events().empty());  // 90 total: under
   g1.set(70.0);
-  c.step(eng);
+  c.step();
   ASSERT_EQ(eng.events().size(), 1u);
   EXPECT_DOUBLE_EQ(eng.events()[0].value, 130.0);
   // The log line names the top contributors with their labels.
@@ -231,25 +235,25 @@ TEST(AlertBurnRate, RequiresBothWindowsAndClearsOnShortRecovery) {
   r.clear_for_ticks = 2;
   eng.add_burn_rate(r);
 
-  Clock c;
+  Clock c{reg, eng};
   const auto good = [&](int n) { for (int i = 0; i < n; ++i) lat.observe(0.001); };
   const auto bad = [&](int n) { for (int i = 0; i < n; ++i) lat.observe(10.0); };
 
   for (int t = 0; t < 5; ++t) {
     good(10);
-    c.step(eng);
+    c.step();
   }
   EXPECT_TRUE(eng.events().empty());
 
   // One bad tick: the short window breaches (10 bad / 20 -> burn 5) but the
   // long window is still diluted (10 / 40 -> burn 2.5) — no page for a blip.
   bad(10);
-  c.step(eng);
+  c.step();
   EXPECT_TRUE(eng.events().empty());
 
   // A second bad tick pushes the long window over too: fires.
   bad(10);
-  c.step(eng);
+  c.step();
   ASSERT_EQ(eng.events().size(), 1u);
   EXPECT_TRUE(eng.events()[0].firing);
   EXPECT_EQ(eng.events()[0].alert, "slo-burn");
@@ -258,13 +262,13 @@ TEST(AlertBurnRate, RequiresBothWindowsAndClearsOnShortRecovery) {
 
   // Recovery: the short window must stay clean for clear_for_ticks.
   good(10);
-  c.step(eng);  // short window still includes a bad tick: not clear
+  c.step();  // short window still includes a bad tick: not clear
   EXPECT_EQ(eng.events().size(), 1u);
   good(10);
-  c.step(eng);  // clear tick 1 (short window now all-good)
+  c.step();  // clear tick 1 (short window now all-good)
   EXPECT_EQ(eng.events().size(), 1u);
   good(10);
-  c.step(eng);  // clear tick 2 resolves
+  c.step();  // clear tick 2 resolves
   ASSERT_EQ(eng.events().size(), 2u);
   EXPECT_FALSE(eng.events()[1].firing);
 }
@@ -277,8 +281,8 @@ TEST(AlertBurnRate, SilentWithNoTrafficAndValidatesConfig) {
   r.name = "slo-burn";
   r.histogram = "latency_s";
   eng.add_burn_rate(r);
-  Clock c;
-  for (int t = 0; t < 40; ++t) c.step(eng);  // empty histogram: burn is 0, never fires
+  Clock c{reg, eng};
+  for (int t = 0; t < 40; ++t) c.step();  // empty histogram: burn is 0, never fires
   EXPECT_TRUE(eng.events().empty());
 
   BurnRateRule bad_target;
@@ -308,31 +312,31 @@ TEST(AlertStall, FiresOnlyWhenArmedAndProgressStops) {
   r.for_ticks = 3;
   eng.add_stall(r);
 
-  Clock c;
+  Clock c{reg, eng};
   // Idle (nothing outstanding): a flat counter is not a stall.
   in_flight.set(0.0);
-  for (int t = 0; t < 6; ++t) c.step(eng);
+  for (int t = 0; t < 6; ++t) c.step();
   EXPECT_TRUE(eng.events().empty());
 
   // Progressing while loaded: fine.
   in_flight.set(8.0);
   for (int t = 0; t < 4; ++t) {
     completed.inc(5.0);
-    c.step(eng);
+    c.step();
   }
   EXPECT_TRUE(eng.events().empty());
 
   // Wedged: outstanding work, counter frozen.
-  c.step(eng);
-  c.step(eng);
+  c.step();
+  c.step();
   EXPECT_TRUE(eng.events().empty());  // 2 stalled ticks: still debouncing
-  c.step(eng);
+  c.step();
   ASSERT_EQ(eng.events().size(), 1u);
   EXPECT_TRUE(eng.events()[0].firing);
   EXPECT_NE(eng.events()[0].detail.find("stalled_ticks="), std::string::npos);
 
   completed.inc(1.0);  // progress resumes
-  c.step(eng);
+  c.step();
   ASSERT_EQ(eng.events().size(), 2u);
   EXPECT_FALSE(eng.events()[1].firing);
 }
@@ -360,11 +364,11 @@ std::string run_scripted_scenario() {
   b.clear_for_ticks = 1;
   eng.add_burn_rate(b);
 
-  Clock c;
+  Clock c{reg, eng};
   for (int t = 0; t < 12; ++t) {
     depth.set(t >= 4 && t < 8 ? 500.0 + t : 10.0);
     for (int i = 0; i < 5; ++i) lat.observe(t >= 5 && t < 7 ? 3.0 : 0.002);
-    c.step(eng);
+    c.step();
   }
   return eng.log_text();
 }
@@ -390,12 +394,12 @@ TEST(AlertEngine, TransitionsEmitTraceInstantEvents) {
   r.fire_above = 10.0;
   eng.add_threshold(r);
 
-  Clock c;
+  Clock c{reg, eng};
   const std::size_t before = trace.event_count();
   depth.set(99.0);
-  c.step(eng);
+  c.step();
   depth.set(0.0);
-  c.step(eng);
+  c.step();
   EXPECT_EQ(trace.event_count(), before + 2);  // one instant per transition
 }
 
@@ -411,30 +415,30 @@ TEST(AlertEngine, TriggeredCaptureForcesSamplerWithHoldOff) {
   r.fire_above = 10.0;
   eng.add_threshold(r);
 
-  Clock c;
+  Clock c{reg, eng};
   depth.set(0.0);
-  c.step(eng);
+  c.step();
   EXPECT_FALSE(sampler.forced());
   EXPECT_FALSE(sampler.sample(1));
 
   depth.set(99.0);
-  c.step(eng);  // fires: full capture from this tick on
+  c.step();  // fires: full capture from this tick on
   EXPECT_TRUE(sampler.forced());
   EXPECT_TRUE(sampler.sample(2));
 
   depth.set(0.0);
-  c.step(eng);  // resolves, but capture holds for hold_ticks more ticks
+  c.step();  // resolves, but capture holds for hold_ticks more ticks
   EXPECT_TRUE(sampler.forced());
-  c.step(eng);  // last tick inside the hold-off
+  c.step();  // last tick inside the hold-off
   EXPECT_TRUE(sampler.forced());
-  c.step(eng);  // past the hold-off
+  c.step();  // past the hold-off
   EXPECT_FALSE(sampler.forced());
   EXPECT_GT(eng.capture_ticks(), 0u);
 
   // Forced samples bypass the head-sampling cap but are counted.
   EXPECT_GT(sampler.forced_count(), 0u);
   eng.release_triggered_sampler();
-  c.step(eng);  // no sampler bound: must not crash
+  c.step();  // no sampler bound: must not crash
 }
 
 // ---------------------------------------------------------------------------
@@ -498,6 +502,48 @@ TEST(AlertEngineRecorder, RingWrapAndLateJoinCannotMisfire) {
   bool wrapped = false;
   for (const auto& s : rec.series()) wrapped = wrapped || s.start_tick > 0;
   EXPECT_TRUE(wrapped);
+}
+
+// ---------------------------------------------------------------------------
+// One registry read per tick: the capacity plane and the alert engine read
+// the recorder's sample, never the instruments themselves.
+
+TEST(RecorderSample, WatchedCallbacksAreReadOncePerTick) {
+  metrics::Registry reg;
+  int depth_reads = 0, demand_reads = 0;
+  reg.gauge_fn("queue_depth", {}, [&depth_reads] {
+    ++depth_reads;
+    return 50.0;
+  });
+  // Each read advances the counter, so a second read in one tick would also
+  // skew the interval rate the plane derives.
+  reg.counter_fn("serving_requests_submitted_total", {}, [&demand_reads] {
+    ++demand_reads;
+    return 10.0 * demand_reads;
+  });
+  metrics::FlightRecorder rec{reg, {.period = kTick}};
+  CapacityPlane plane{reg};
+  AlertEngine eng{reg};
+  ThresholdRule r;
+  r.name = "depth-high";
+  r.instrument = "queue_depth";
+  r.fire_above = 10.0;
+  eng.add_threshold(r);
+  plane.attach(rec);
+  eng.attach(rec);
+
+  for (int k = 0; k < 5; ++k) {
+    rec.step(k * kTick);
+    EXPECT_EQ(depth_reads, k + 1);
+    EXPECT_EQ(demand_reads, k + 1);
+  }
+  // Both listeners saw the sample: the rule fired on tick 0 (its log line
+  // names the top contributor from the same sample) and the plane
+  // differenced 10 requests per 100 ms tick.
+  ASSERT_EQ(eng.events().size(), 1u);
+  EXPECT_NE(eng.events()[0].detail.find("queue_depth=50"), std::string::npos);
+  ASSERT_EQ(plane.intervals(), 4u);
+  for (const double lambda : plane.demand_rps()) EXPECT_NEAR(lambda, 100.0, 1e-9);
 }
 
 // ---------------------------------------------------------------------------

@@ -407,6 +407,65 @@ TEST(ConfigFile, FormatParsesBackIdentically) {
   EXPECT_EQ(round.shed_deadline, cfg.shed_deadline);
 }
 
+TEST(ConfigFile, EveryDoubleAndDurationRoundTripsExactly) {
+  // Values chosen to need more than six significant digits, and durations
+  // past 2^31 whole units.
+  constexpr sim::Time kMs = 1'000'000;
+  constexpr sim::Time kBig = 3'000'000'000LL * kMs;  // ~35 days
+  serving::ServerConfig cfg;
+  cfg.model = models::tiny_vit();
+  cfg.ingress_cache.lookup_s = 12.3456789e-6;
+  cfg.max_queue_delay = 3'000'000'000LL * 1'000;
+  cfg.shed_deadline = kBig + 1 * kMs;
+  cfg.retry.timeout = kBig + 2 * kMs;
+  cfg.retry.backoff_base = kBig + 3 * kMs;
+  cfg.retry.backoff_cap = kBig + 4 * kMs;
+  cfg.retry.retry_budget = 12.345678901;
+  cfg.retry.budget_refill_per_success = 0.123456789;
+  cfg.breaker.error_rate_open = 0.3456789012;
+  cfg.breaker.open_duration = kBig + 5 * kMs;
+  cfg.degrade.hysteresis = kBig + 6 * kMs;
+  cfg.broker_publish.backoff_base = kBig + 7 * kMs;
+  cfg.broker_publish.poll_interval = kBig + 8 * kMs;
+  cfg.balancer.health.probe_interval = kBig + 9 * kMs;
+  cfg.balancer.health.probe_timeout = kBig + 10 * kMs;
+  cfg.balancer.health.probe_cost_s = 123.456789e-6;
+  cfg.balancer.health.ewma_alpha = 0.123456789;
+  cfg.balancer.health.eject_score = 0.456789012;
+  cfg.balancer.health.eject_duration = kBig + 11 * kMs;
+  cfg.balancer.hedge.deadline = kBig + 12 * kMs;
+  cfg.balancer.hedge.budget = 98.7654321;
+  cfg.balancer.hedge.budget_refill_per_success = 0.0123456789;
+
+  const auto round = serving::parse_server_config(serving::format_server_config(cfg));
+  // Stored in seconds, written in microseconds: equal up to the scaling.
+  EXPECT_NEAR(round.ingress_cache.lookup_s, cfg.ingress_cache.lookup_s,
+              1e-12 * cfg.ingress_cache.lookup_s);
+  EXPECT_NEAR(round.balancer.health.probe_cost_s, cfg.balancer.health.probe_cost_s,
+              1e-12 * cfg.balancer.health.probe_cost_s);
+  EXPECT_EQ(round.max_queue_delay, cfg.max_queue_delay);
+  EXPECT_EQ(round.shed_deadline, cfg.shed_deadline);
+  EXPECT_EQ(round.retry.timeout, cfg.retry.timeout);
+  EXPECT_EQ(round.retry.backoff_base, cfg.retry.backoff_base);
+  EXPECT_EQ(round.retry.backoff_cap, cfg.retry.backoff_cap);
+  EXPECT_EQ(round.retry.retry_budget, cfg.retry.retry_budget);
+  EXPECT_EQ(round.retry.budget_refill_per_success, cfg.retry.budget_refill_per_success);
+  EXPECT_EQ(round.breaker.error_rate_open, cfg.breaker.error_rate_open);
+  EXPECT_EQ(round.breaker.open_duration, cfg.breaker.open_duration);
+  EXPECT_EQ(round.degrade.hysteresis, cfg.degrade.hysteresis);
+  EXPECT_EQ(round.broker_publish.backoff_base, cfg.broker_publish.backoff_base);
+  EXPECT_EQ(round.broker_publish.poll_interval, cfg.broker_publish.poll_interval);
+  EXPECT_EQ(round.balancer.health.probe_interval, cfg.balancer.health.probe_interval);
+  EXPECT_EQ(round.balancer.health.probe_timeout, cfg.balancer.health.probe_timeout);
+  EXPECT_EQ(round.balancer.health.ewma_alpha, cfg.balancer.health.ewma_alpha);
+  EXPECT_EQ(round.balancer.health.eject_score, cfg.balancer.health.eject_score);
+  EXPECT_EQ(round.balancer.health.eject_duration, cfg.balancer.health.eject_duration);
+  EXPECT_EQ(round.balancer.hedge.deadline, cfg.balancer.hedge.deadline);
+  EXPECT_EQ(round.balancer.hedge.budget, cfg.balancer.hedge.budget);
+  EXPECT_EQ(round.balancer.hedge.budget_refill_per_success,
+            cfg.balancer.hedge.budget_refill_per_success);
+}
+
 TEST(ConfigFile, IngressKeysRoundTrip) {
   serving::ServerConfig cfg;
   cfg.model = models::tiny_vit();
