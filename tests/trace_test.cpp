@@ -106,6 +106,43 @@ TEST(TraceRecorder, EscapesQuotesBackslashesAndControlChars) {
   EXPECT_NE(json.find("\\u0007"), std::string::npos);
 }
 
+TEST(TraceRecorder, ChromeJsonGoldenBytes) {
+  // Interleaved recording order, tracks shared across event kinds, names
+  // that need escaping. Export groups spans, then counters, then instants;
+  // tids follow first appearance in that order, and the thread-name
+  // metadata comes out sorted by track name.
+  sim::TraceRecorder rec;
+  rec.counter("cpu.cores", 3.0, 250);
+  rec.span("gpu0.compute", "batch x64", 0, 1500);
+  rec.instant("faults", "pcie \"degrade\" begin", 1000);
+  rec.span("req.\"7\"", "queue\t", 500, 2750, {{"blame", "host\\core"}, {"op", "resize"}});
+  rec.counter("gpu0.compute", 1.5, 2000);
+  rec.instant("cpu.cores", "breaker -> open", 2500, {{"why", "line1\nline2"}});
+  rec.counter("q\\depth", 0.25, 3001);
+  rec.span("a.first", "late span", 4000, 4000);
+  rec.counter("cpu.cores", 0.0, 5000);
+  rec.instant("gpu0.compute", "tick", 6000);
+  EXPECT_EQ(to_json(rec), R"json({"traceEvents":[
+{"ph":"X","pid":1,"tid":1,"name":"batch x64","ts":0,"dur":1.5},
+{"ph":"X","pid":1,"tid":2,"name":"queue\t","ts":0.5,"dur":2.25,"args":{"blame":"host\\core","op":"resize"}},
+{"ph":"X","pid":1,"tid":3,"name":"late span","ts":4,"dur":0},
+{"ph":"C","pid":1,"tid":4,"name":"cpu.cores","ts":0.25,"args":{"value":3}},
+{"ph":"C","pid":1,"tid":1,"name":"gpu0.compute","ts":2,"args":{"value":1.5}},
+{"ph":"C","pid":1,"tid":5,"name":"q\\depth","ts":3.001,"args":{"value":0.25}},
+{"ph":"C","pid":1,"tid":4,"name":"cpu.cores","ts":5,"args":{"value":0}},
+{"ph":"i","pid":1,"tid":6,"name":"pcie \"degrade\" begin","ts":1,"s":"t"},
+{"ph":"i","pid":1,"tid":4,"name":"breaker -> open","ts":2.5,"s":"t","args":{"why":"line1\nline2"}},
+{"ph":"i","pid":1,"tid":1,"name":"tick","ts":6,"s":"t"},
+{"ph":"M","pid":1,"tid":3,"name":"thread_name","args":{"name":"a.first"}},
+{"ph":"M","pid":1,"tid":4,"name":"thread_name","args":{"name":"cpu.cores"}},
+{"ph":"M","pid":1,"tid":6,"name":"thread_name","args":{"name":"faults"}},
+{"ph":"M","pid":1,"tid":1,"name":"thread_name","args":{"name":"gpu0.compute"}},
+{"ph":"M","pid":1,"tid":5,"name":"thread_name","args":{"name":"q\\depth"}},
+{"ph":"M","pid":1,"tid":2,"name":"thread_name","args":{"name":"req.\"7\""}}
+]}
+)json");
+}
+
 TEST(TraceRecorder, EventCapDropsAndCounts) {
   sim::TraceRecorder rec;
   rec.set_max_events(2);
