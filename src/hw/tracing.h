@@ -3,6 +3,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 
 #include "hw/devices.h"
 #include "sim/trace.h"
@@ -11,11 +12,14 @@ namespace serve::hw {
 
 namespace detail {
 
+/// Interns `track` once; each occupancy change then records a POD sample
+/// keyed by the id, with no string copy.
 inline void attach_counter(sim::Simulator& sim, sim::TraceRecorder& trace, sim::Resource& res,
-                           std::string track) {
-  trace.counter(track, 0.0, sim.now());
-  res.set_change_observer([&sim, &trace, track](std::size_t in_use) {
-    trace.counter(track, static_cast<double>(in_use), sim.now());
+                           std::string_view track) {
+  const sim::TrackId id = trace.track_id(track);
+  trace.counter(id, 0.0, sim.now());
+  res.set_change_observer([&sim, &trace, id](std::size_t in_use) {
+    trace.counter(id, static_cast<double>(in_use), sim.now());
   });
 }
 

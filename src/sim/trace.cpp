@@ -2,40 +2,33 @@
 
 #include <charconv>
 #include <cstdio>
-#include <map>
 #include <ostream>
 #include <stdexcept>
 
 namespace serve::sim {
 
-void TraceRecorder::span(std::string track, std::string name, Time begin, Time end) {
-  span(std::move(track), std::move(name), begin, end, SpanArgs{});
+TrackId TraceRecorder::track_id(std::string_view track) {
+  if (auto it = track_ids_.find(track); it != track_ids_.end()) return it->second;
+  const TrackId id{static_cast<std::uint32_t>(track_names_.size())};
+  track_names_.push_back(&track_ids_.emplace(std::string(track), id).first->first);
+  return id;
 }
 
-void TraceRecorder::span(std::string track, std::string name, Time begin, Time end,
+void TraceRecorder::span(std::string_view track, std::string name, Time begin, Time end,
                          SpanArgs args) {
   if (end < begin) throw std::invalid_argument("TraceRecorder::span: end before begin");
   if (!admit()) return;
-  spans_.push_back(Span{std::move(track), std::move(name), begin, end, std::move(args)});
+  spans_.push_back(Span{track_id(track), std::move(name), begin, end, std::move(args)});
 }
 
-void TraceRecorder::counter(std::string track, double value, Time t) {
+void TraceRecorder::instant(std::string_view track, std::string name, Time t, SpanArgs args) {
   if (!admit()) return;
-  counters_.push_back(CounterSample{std::move(track), value, t});
-}
-
-void TraceRecorder::instant(std::string track, std::string name, Time t) {
-  instant(std::move(track), std::move(name), t, SpanArgs{});
-}
-
-void TraceRecorder::instant(std::string track, std::string name, Time t, SpanArgs args) {
-  if (!admit()) return;
-  instants_.push_back(Instant{std::move(track), std::move(name), t, std::move(args)});
+  instants_.push_back(Instant{track_id(track), std::move(name), t, std::move(args)});
 }
 
 namespace {
 
-void write_escaped(std::ostream& os, const std::string& s) {
+void write_escaped(std::ostream& os, std::string_view s) {
   os << '"';
   for (char ch : s) {
     const auto c = static_cast<unsigned char>(ch);
@@ -85,11 +78,14 @@ void write_args(std::ostream& os, const SpanArgs& args) {
 }  // namespace
 
 void TraceRecorder::write_chrome_json(std::ostream& os) const {
-  // Stable thread ids per track, plus metadata naming each one.
-  std::map<std::string, int> tids;
-  auto tid_of = [&](const std::string& track) {
-    auto [it, inserted] = tids.emplace(track, static_cast<int>(tids.size()) + 1);
-    return it->second;
+  // Thread ids follow first appearance (spans, then counters, then
+  // instants); tid 0 marks a track no recorded event uses.
+  std::vector<int> tids(track_names_.size(), 0);
+  int next_tid = 0;
+  auto tid_of = [&](TrackId track) {
+    int& tid = tids[static_cast<std::size_t>(track)];
+    if (tid == 0) tid = ++next_tid;
+    return tid;
   };
 
   os << "{\"traceEvents\":[";
@@ -111,10 +107,11 @@ void TraceRecorder::write_chrome_json(std::ostream& os) const {
     if (!s.args.empty()) write_args(os, s.args);
     os << "}";
   }
-  for (const auto& c : counters_) {
+  for (std::size_t i = 0; i < counters_.size(); ++i) {
+    const CounterSample& c = counters_[i];
     sep();
     os << R"({"ph":"C","pid":1,"tid":)" << tid_of(c.track) << ",\"name\":";
-    write_escaped(os, c.track);
+    write_escaped(os, *track_names_[static_cast<std::size_t>(c.track)]);
     os << ",\"ts\":";
     write_number(os, to_microseconds(c.t));
     os << ",\"args\":{\"value\":";
@@ -132,7 +129,10 @@ void TraceRecorder::write_chrome_json(std::ostream& os) const {
     if (!i.args.empty()) write_args(os, i.args);
     os << "}";
   }
-  for (const auto& [track, tid] : tids) {
+  // Metadata in track-name order (the string table's map order).
+  for (const auto& [track, id] : track_ids_) {
+    const int tid = tids[static_cast<std::size_t>(id)];
+    if (tid == 0) continue;
     sep();
     os << R"({"ph":"M","pid":1,"tid":)" << tid
        << R"(,"name":"thread_name","args":{"name":)";

@@ -14,13 +14,21 @@
 // depends only on the event sequence, which is deterministic in virtual
 // time — same-seed runs drop the same events.
 //
+// Track names are interned once into a string table; every event refers to
+// its track by TrackId. Counter samples, the bulk of a traced run (one per
+// occupancy change of every engine), are 24-byte POD records kept in
+// fixed-size chunks, so growth never copies what is already recorded.
+//
 // Load the emitted JSON in chrome://tracing (or ui.perfetto.dev) to see the
 // serving pipeline's device occupancy over virtual time.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
+#include <map>
+#include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -32,29 +40,44 @@ namespace serve::sim {
 /// the Chrome trace event's "args" object (all values as JSON strings).
 using SpanArgs = std::vector<std::pair<std::string, std::string>>;
 
+/// Interned track name: dense, and stable for the recorder's lifetime
+/// (clear() keeps the string table).
+enum class TrackId : std::uint32_t {};
+
 class TraceRecorder {
  public:
-  /// Default event cap: ~a few hundred MB of JSON worst case, far above any
-  /// bench harness, but a hard stop for runaway recorded runs.
+  /// Default event cap: far above any bench harness, but a hard stop for
+  /// runaway recorded runs. A counter sample is a 24 B record, so a store
+  /// filled with counters holds 4M x 24 B = 96 MB. A span (80 B) or instant
+  /// (72 B) record also owns its name and args on the heap, but the traced
+  /// runs record far fewer of them than counter samples.
   static constexpr std::size_t kDefaultMaxEvents = 4'000'000;
+  /// Counter samples per storage chunk (8192 x 24 B = 192 KiB).
+  static constexpr std::size_t kCounterChunk = 8192;
+
+  /// Interns `track`, returning the same id for the same name every time.
+  [[nodiscard]] TrackId track_id(std::string_view track);
 
   /// Records a completed span [begin, end] on `track`.
-  void span(std::string track, std::string name, Time begin, Time end);
-  void span(std::string track, std::string name, Time begin, Time end, SpanArgs args);
+  void span(std::string_view track, std::string name, Time begin, Time end,
+            SpanArgs args = {});
 
   /// Records a counter sample (step function between samples).
-  void counter(std::string track, double value, Time t);
+  void counter(TrackId track, double value, Time t) {
+    if (!admit()) return;
+    counters_.push_back({t, value, track});
+  }
+  void counter(std::string_view track, double value, Time t) {
+    counter(track_id(track), value, t);
+  }
 
   /// Records an instantaneous marker at time `t` on `track`.
-  void instant(std::string track, std::string name, Time t);
-  void instant(std::string track, std::string name, Time t, SpanArgs args);
+  void instant(std::string_view track, std::string name, Time t, SpanArgs args = {});
 
   [[nodiscard]] std::size_t span_count() const noexcept { return spans_.size(); }
   [[nodiscard]] std::size_t counter_count() const noexcept { return counters_.size(); }
   [[nodiscard]] std::size_t instant_count() const noexcept { return instants_.size(); }
-  [[nodiscard]] bool empty() const noexcept {
-    return spans_.empty() && counters_.empty() && instants_.empty();
-  }
+  [[nodiscard]] bool empty() const noexcept { return event_count() == 0; }
 
   /// Caps spans + counters + instants combined; events past the cap are
   /// dropped (and counted). Lowering the cap below the current event count
@@ -66,6 +89,7 @@ class TraceRecorder {
     return spans_.size() + counters_.size() + instants_.size();
   }
 
+  /// Drops every recorded event and the drop count; interned ids stay valid.
   void clear() noexcept {
     spans_.clear();
     counters_.clear();
@@ -81,22 +105,48 @@ class TraceRecorder {
 
  private:
   struct Span {
-    std::string track;
+    TrackId track;
     std::string name;
     Time begin;
     Time end;
     SpanArgs args;
   };
   struct CounterSample {
-    std::string track;
-    double value;
     Time t;
+    double value;
+    TrackId track;
   };
+  static_assert(sizeof(CounterSample) <= 24);
   struct Instant {
-    std::string track;
+    TrackId track;
     std::string name;
     Time t;
     SpanArgs args;
+  };
+
+  /// Append-only store of kCounterChunk-record chunks: growth allocates one
+  /// chunk and never moves or copies the records already stored.
+  class CounterStore {
+   public:
+    void push_back(const CounterSample& c) {
+      if (size_ == chunks_.size() * kCounterChunk) {
+        chunks_.push_back(std::make_unique_for_overwrite<CounterSample[]>(kCounterChunk));
+      }
+      chunks_.back()[size_ % kCounterChunk] = c;
+      ++size_;
+    }
+    [[nodiscard]] const CounterSample& operator[](std::size_t i) const noexcept {
+      return chunks_[i / kCounterChunk][i % kCounterChunk];
+    }
+    [[nodiscard]] std::size_t size() const noexcept { return size_; }
+    void clear() noexcept {
+      chunks_.clear();
+      size_ = 0;
+    }
+
+   private:
+    std::vector<std::unique_ptr<CounterSample[]>> chunks_;
+    std::size_t size_ = 0;
   };
 
   [[nodiscard]] bool admit() noexcept {
@@ -109,8 +159,14 @@ class TraceRecorder {
 
   std::size_t max_events_ = kDefaultMaxEvents;
   std::uint64_t dropped_ = 0;
+  /// Name -> id, iterated in name order for the export's metadata events;
+  /// track_names_[id] points at the map's (node-stable) key. The recorder is
+  /// move-only (CounterStore owns its chunks), so no copy can carry these
+  /// pointers away from their map.
+  std::map<std::string, TrackId, std::less<>> track_ids_;
+  std::vector<const std::string*> track_names_;
   std::vector<Span> spans_;
-  std::vector<CounterSample> counters_;
+  CounterStore counters_;
   std::vector<Instant> instants_;
 };
 

@@ -4,7 +4,7 @@
 
 namespace serve::trace {
 
-void CausalTracer::record(const SpanContext& ctx, std::string track, std::string name,
+void CausalTracer::record(const SpanContext& ctx, std::string_view track, std::string name,
                           sim::Time begin, sim::Time end, sim::SpanArgs args) {
   if (rec_ == nullptr || !ctx.sampled || !ctx.valid()) return;
   sim::SpanArgs full;
@@ -15,15 +15,15 @@ void CausalTracer::record(const SpanContext& ctx, std::string track, std::string
     full.emplace_back("parent_span_id", std::to_string(ctx.parent_span_id));
   }
   for (auto& kv : args) full.push_back(std::move(kv));
-  rec_->span(std::move(track), std::move(name), begin, end, std::move(full));
+  rec_->span(track, std::move(name), begin, end, std::move(full));
   ++spans_recorded_;
 }
 
-SpanContext CausalTracer::child_span(const SpanContext& parent, std::string track,
+SpanContext CausalTracer::child_span(const SpanContext& parent, std::string_view track,
                                      std::string name, sim::Time begin, sim::Time end,
                                      sim::SpanArgs args) {
   const SpanContext ctx = child_of(parent);
-  record(ctx, std::move(track), std::move(name), begin, end, std::move(args));
+  record(ctx, track, std::move(name), begin, end, std::move(args));
   return ctx;
 }
 

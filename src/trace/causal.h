@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "sim/time.h"
 #include "sim/trace.h"
@@ -45,13 +46,13 @@ class CausalTracer {
 
   /// Records a completed span for an already-allocated context. No-op when
   /// the context is unsampled or no recorder is attached.
-  void record(const SpanContext& ctx, std::string track, std::string name, sim::Time begin,
-              sim::Time end, sim::SpanArgs args = {});
+  void record(const SpanContext& ctx, std::string_view track, std::string name,
+              sim::Time begin, sim::Time end, sim::SpanArgs args = {});
 
   /// Allocates a child of `parent` and records it in one step; returns the
   /// child's context (ids are allocated even when unsampled, keeping id
   /// assignment independent of the sampling decision).
-  SpanContext child_span(const SpanContext& parent, std::string track, std::string name,
+  SpanContext child_span(const SpanContext& parent, std::string_view track, std::string name,
                          sim::Time begin, sim::Time end, sim::SpanArgs args = {});
 
   [[nodiscard]] std::uint64_t traces_started() const noexcept { return next_trace_id_ - 1; }

@@ -157,6 +157,41 @@ TEST(TraceRecorder, EventCapDropsAndCounts) {
   EXPECT_EQ(rec.dropped_events(), 0u);
   rec.span("t", "after-clear", 0, 1);
   EXPECT_EQ(rec.span_count(), 1u);
+
+  // Counter samples live in fixed-size chunks. A cap that lands exactly on
+  // a chunk boundary fills the chunk and drops the rest; a raised cap then
+  // carries the store across the boundary with nothing lost or reordered.
+  constexpr std::size_t kChunk = sim::TraceRecorder::kCounterChunk;
+  rec.clear();
+  rec.set_max_events(kChunk);
+  const sim::TrackId c = rec.track_id("c");
+  for (std::size_t i = 0; i < kChunk + 3; ++i) {
+    rec.counter(c, static_cast<double>(i), static_cast<sim::Time>(i));
+  }
+  EXPECT_EQ(rec.counter_count(), kChunk);
+  EXPECT_EQ(rec.dropped_events(), 3u);
+  rec.set_max_events(kChunk + 2);
+  for (std::size_t i = 0; i < 5; ++i) rec.counter("c", 1e6 + static_cast<double>(i), 0);
+  EXPECT_EQ(rec.counter_count(), kChunk + 2);
+  EXPECT_EQ(rec.event_count(), kChunk + 2);
+  EXPECT_EQ(rec.dropped_events(), 6u);
+
+  const jsonmini::Value doc = parse_json(to_json(rec));
+  const jsonmini::Value* events = doc.find("traceEvents");
+  ASSERT_NE(events, nullptr);
+  std::vector<double> values;
+  for (const jsonmini::Value& e : events->array) {
+    if (e.str_or("ph", "") != "C") continue;
+    const jsonmini::Value* args = e.find("args");
+    ASSERT_NE(args, nullptr);
+    values.push_back(args->num_or("value", -1.0));
+  }
+  ASSERT_EQ(values.size(), kChunk + 2);
+  for (std::size_t i = 0; i < kChunk; ++i) {
+    ASSERT_EQ(values[i], static_cast<double>(i)) << "sample " << i;
+  }
+  EXPECT_EQ(values[kChunk], 1e6);
+  EXPECT_EQ(values[kChunk + 1], 1e6 + 1.0);
 }
 
 // --- SpanContext wire format -------------------------------------------------
